@@ -7,8 +7,8 @@ per-momentum symbol, integrates out p, and hands the resulting functional
 
     E[Phi] = (1/2) int |grad Phi|^2 - I0 int Phi^(5/2),   Phi >= 0, int Phi^2 = 1,
 
-to a projected gradient-flow solver.  Rescaling the solution reproduces the
-N^(7/5) law exactly at the discrete level.
+to a Newton solver on its constrained optimality (KKT) system.  Rescaling
+the solution reproduces the N^(7/5) law exactly at the discrete level.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, TruncationError
@@ -540,6 +541,8 @@ class VariationalState:
     energy: float
     virial_residual: float
     iterations: int
+    converged: bool
+    relative_gradient: float
     grid_n: int
     r_max: float
     i0: float
@@ -558,22 +561,46 @@ def _dyson_quantities(u: np.ndarray, r: np.ndarray, h: float, i0: float):
     return kinetic, potential, norm2
 
 
+# shifts of a rejected Newton step, in units of |mu|; the first is Newton's
+_SHIFTS = (0.0,) + tuple(4.0**k for k in range(-1, 24))
+
+
 def dyson_variational_solve(
     grid_n: int = 2000,
     r_max: float = 40.0,
     i0: float | None = None,
     init: RadialGridFunction | None = None,
     tol: float = 1e-7,
-    max_iter: int = 200000,
+    max_iter: int = 100,
 ) -> VariationalState:
-    """Projected gradient flow for the condensate-profile functional.
+    """Newton's method on the KKT system of the condensate-profile functional.
 
-    Works on u = r Phi over a uniform grid: descend along the energy
-    gradient projected on the tangent of the normalization sphere, clip to
-    u >= 0, renormalize, and backtrack the step until the energy decreases.
-    Stops when the projected gradient norm falls below ``tol`` times its
-    value at the first iterate; the
-    stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
+    Works on u = r Phi over a uniform grid with u = 0 at both ends.  On the
+    interior nodes the discrete energy K/2 - I0 P has gradient
+    g = A u - f(u), with A = (4 pi/h) tridiag(-1, 2, -1) and
+    f = I0 4 pi w (5/2) u^(3/2)/sqrt(r); the sphere 4 pi sum w u^2 = 1 has
+    normal d = 8 pi w u.  Each step takes the multiplier mu = (g.u)/(d.u),
+    which makes F = g - mu d the projected gradient, and solves the bordered
+    system
+
+        [ J    -d ] [du ]   [-F]
+        [ d^T   0 ] [dmu] = [ 0],   J = A - diag(f'(u)) - mu 8 pi diag(w),
+
+    by one banded factorization of J applied to F and d, with dmu from the
+    bordering formula.  The new iterate is clipped to u >= 0 and renormalized.
+    A step that would raise the energy is solved again with J shifted by
+    lambda 8 pi diag(w), lambda = |mu|/4, |mu|, 4|mu|, ...: that is a linearized
+    backward-Euler step of the normalized gradient flow (Bao & Du, SIAM J.
+    Sci. Comput. 25 (2004) 1674) with time step 1/lambda, which lowers the
+    energy once it is short enough.  Far from the minimizer J is indefinite
+    and the Newton step can point uphill; near it, full Newton steps are
+    taken and converge quadratically.  Components of the projected gradient
+    that push a zero entry below zero are dropped, as the bound u >= 0 is
+    active there.  Stops when its norm falls below ``tol`` times its value at
+    the first iterate and raises ConvergenceError when ``max_iter`` steps do
+    not get there.
+
+    The stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
     virial identity K = (3/4) I0 P at the minimizer, reported as a residual.
     """
@@ -586,80 +613,59 @@ def dyson_variational_solve(
     else:
         u = r * np.exp(-(r**2) / (2.0 * 3.0**2))
     u[0] = u[-1] = 0.0
-    _, _, norm2 = _dyson_quantities(u, r, h, i0)
-    u /= math.sqrt(norm2)
+    u /= math.sqrt(_dyson_quantities(u, r, h, i0)[2])
 
-    w = np.full_like(r, h)
-    w[0] = w[-1] = 0.5 * h
+    stiff = 4.0 * math.pi / h
+    mass = 8.0 * math.pi * np.full(grid_n - 1, h)  # 8 pi w on the interior
+    pot = 4.0 * math.pi * i0 * h / np.sqrt(r[1:-1])  # I0 4 pi w / sqrt(r)
 
-    def energy_of(uu):
-        k, p, _ = _dyson_quantities(uu, r, h, i0)
-        return 0.5 * k - i0 * p, k, p
+    def state_of(uu):
+        """Projected gradient on the interior nodes, its norm, mu and E."""
+        ui = uu[1:-1]
+        g = stiff * (2.0 * ui - uu[:-2] - uu[2:]) - 2.5 * pot * ui**1.5
+        d = mass * ui
+        mu = float(g @ ui) / float(d @ ui)
+        f_res = g - mu * d
+        norm = float(np.linalg.norm(np.where((ui <= 0.0) & (f_res > 0.0), 0.0, f_res)))
+        kinetic, potential, _ = _dyson_quantities(uu, r, h, i0)
+        return f_res, norm, mu, 0.5 * kinetic - i0 * potential
 
-    def gradient(uu):
-        g = np.zeros_like(uu)
-        g[1:-1] = (4.0 * math.pi / h) * (2.0 * uu[1:-1] - uu[:-2] - uu[2:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dp = np.where(r > 0, 2.5 * uu**1.5 / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
-        g -= i0 * 4.0 * math.pi * w * dp
-        g[0] = g[-1] = 0.0
-        return g
-
-    energy, kinetic, potential = energy_of(u)
-    step = 1e-3
-    g_prev = None
-    u_prev = None
+    f_res, pg_norm, mu, energy = state_of(u)
+    pg_ref = max(pg_norm, 1e-300)
+    jac = np.empty((3, grid_n - 1))
+    jac[0] = jac[2] = -stiff  # jac[0, 0] and jac[2, -1] are not referenced
     iterations = 0
-    pg_norm = math.inf
-    pg_ref = None
-    converged = False
-    stalled = False
-    for iterations in range(1, max_iter + 1):
-        g = gradient(u)
-        # tangent projection on the sphere 4 pi sum w u^2 = 1
-        dq = 8.0 * math.pi * w * u
-        g_t = g - (np.dot(g, u) / max(np.dot(dq, u), 1e-300)) * dq
-        g_t[(u <= 0.0) & (g_t > 0.0)] = 0.0
-        pg_norm = float(np.linalg.norm(g_t))
-        if pg_ref is None:
-            pg_ref = max(pg_norm, 1e-300)
-        if pg_norm < tol * pg_ref:
-            converged = True
-            break
-        if g_prev is not None:
-            s_vec = u - u_prev
-            y_vec = g_t - g_prev
-            sy = float(np.dot(s_vec, y_vec))
-            if sy > 0:
-                step = float(np.dot(s_vec, s_vec)) / sy
-            step = min(max(step, 1e-8), 1e3)
-        u_prev = u
-        g_prev = g_t
-        # backtracking keeps the flow monotone past projection steps
-        trial_step = step
-        for _ in range(60):
-            u_new = np.clip(u - trial_step * g_t, 0.0, None)
-            u_new[0] = u_new[-1] = 0.0
-            _, _, norm2 = _dyson_quantities(u_new, r, h, i0)
-            if norm2 > 0:
-                u_new /= math.sqrt(norm2)
-                e_new, k_new, p_new = energy_of(u_new)
-                if e_new < energy:
-                    break
-            trial_step *= 0.5
+    while pg_norm >= tol * pg_ref and iterations < max_iter:
+        iterations += 1
+        ui = u[1:-1]
+        d = mass * ui
+        newton_diag = 2.0 * stiff - 3.75 * pot * np.sqrt(ui) - mu * mass
+        for shift in _SHIFTS:
+            jac[1] = newton_diag + shift * abs(mu) * mass
+            a, b = solve_banded((1, 1), jac, np.column_stack([-f_res, d])).T
+            du = a - (float(d @ a) / float(d @ b)) * b
+            trial = np.zeros_like(u)
+            trial[1:-1] = np.clip(ui + du, 0.0, None)
+            trial /= math.sqrt(_dyson_quantities(trial, r, h, i0)[2])
+            trial_state = state_of(trial)
+            # near the minimizer a step moves E by less than its rounding
+            if trial_state[3] <= energy + 1e-12 * abs(energy):
+                break
         else:
-            stalled = True  # descent exhausted at float resolution
-            break
-        u, energy, kinetic, potential = u_new, e_new, k_new, p_new
+            break  # no shift lowers the energy
+        u = trial
+        f_res, pg_norm, mu, energy = trial_state
 
-    if not converged and not (stalled and pg_norm < 1e5 * tol * (pg_ref or 1.0)):
+    relative_gradient = pg_norm / pg_ref
+    if relative_gradient >= tol:
         raise ConvergenceError(
-            f"no convergence in {iterations} iterations, |pg|={pg_norm:.3e}"
+            f"no convergence in {iterations} Newton steps, relative projected "
+            f"gradient {relative_gradient:.3e} >= tol {tol:.1e}"
         )
-
-    virial = abs(kinetic - 0.75 * i0 * potential) / kinetic
+    kinetic, potential, _ = _dyson_quantities(u, r, h, i0)
     if energy >= 0:
-        raise ConvergenceError("flow failed to reach a negative-energy state")
+        raise ConvergenceError("solve ended at a non-negative energy")
+    virial = abs(kinetic - 0.75 * i0 * potential) / kinetic
 
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_vals = np.where(r > 0, u / np.where(r > 0, r, 1.0), 0.0)
@@ -672,6 +678,8 @@ def dyson_variational_solve(
         energy=energy,
         virial_residual=virial,
         iterations=iterations,
+        converged=True,
+        relative_gradient=relative_gradient,
         grid_n=grid_n,
         r_max=r_max,
         i0=i0,
@@ -696,6 +704,9 @@ class DysonPipelineReport:
         return {
             "E_star": self.state.energy,
             "virial_residual": self.state.virial_residual,
+            "iterations": self.state.iterations,
+            "converged": self.state.converged,
+            "relative_gradient": self.state.relative_gradient,
             "max_relative_spread": self.max_relative_spread,
             "rows": [
                 {

@@ -3,7 +3,9 @@
 All runs are seeded (default seed 137, overridable with --seed) and emit
 canonical JSON or CSV, so identical invocations produce byte-identical
 artifacts.  Exit status: 0 when every checked invariant holds, 1 on an
-invariant violation, 2 on usage errors.
+invariant violation, 2 on usage errors, 3 when the library raises an error
+during the run; the error then goes to stderr as one canonical JSON object
+{"error": class name, "message": ..., "subcommand": ...}.
 """
 from __future__ import annotations
 
@@ -15,10 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bogoliubov, coulomb, grafschenker, instability, liebthirring
-from . import operators, thermo
+from . import errors, operators, thermo
 from .report import dumps_canonical, rows_to_csv
 
 DEFAULT_SEED = 137
+
+# everything the package raises on purpose: the ValueError family of
+# errors.py and plain ValueErrors for bad arguments, plus its runtime errors
+_LIBRARY_ERRORS = (
+    ValueError,
+    errors.TruncationError,
+    errors.ConvergenceError,
+    errors.BoundViolationError,
+    errors.InternalConsistencyError,
+)
 
 DEFAULT_TOLERANCES = {
     "i0_match": 1e-8,
@@ -153,6 +165,9 @@ def _run_dyson_solve(cfg: RunConfig) -> int:
         "P": state.potential,
         "E": state.energy,
         "virial_residual": state.virial_residual,
+        "iterations": state.iterations,
+        "converged": state.converged,
+        "relative_gradient": state.relative_gradient,
         "grid_n": state.grid_n,
         "r_max": state.r_max,
         "I0": state.i0,
@@ -172,7 +187,8 @@ def _run_dyson_pipeline(cfg: RunConfig) -> int:
     ok = report.max_relative_spread < cfg.tol("pipeline_spread")
     artifact = report.to_dict()
     artifact["pass"] = ok
-    _emit(cfg, artifact, rows=artifact["rows"])
+    rows = artifact.pop("rows")
+    _emit(cfg, artifact, rows=rows, header=artifact)
     return 0 if ok else 1
 
 
@@ -426,8 +442,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    runner = _RUNNERS[args.subcommand]
-    return runner(cfg)
+    try:
+        return _RUNNERS[args.subcommand](cfg)
+    except _LIBRARY_ERRORS as exc:
+        sys.stderr.write(dumps_canonical({
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "subcommand": args.subcommand,
+        }) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

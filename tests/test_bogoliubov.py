@@ -20,7 +20,7 @@ from coulomblab.bogoliubov import (
     total_energy_expectation,
     working_i0,
 )
-from coulomblab.errors import TruncationError
+from coulomblab.errors import ConvergenceError, TruncationError
 from coulomblab.numerics import PsdMatrix, RadialGridFunction, psd_sqrt
 
 
@@ -229,6 +229,20 @@ def solved_state():
     return dyson_variational_solve(grid_n=1500, r_max=40.0)
 
 
+def _projected_gradient_norm(u, r, i0):
+    """KKT residual of K/2 - I0 P on the sphere 4 pi sum w u^2 = 1, from u alone."""
+    h = r[1] - r[0]
+    w = np.full_like(r, h)
+    w[0] = w[-1] = 0.5 * h
+    g = np.zeros_like(u)
+    g[1:-1] = (4.0 * math.pi / h) * (2.0 * u[1:-1] - u[:-2] - u[2:])
+    g[1:-1] -= i0 * 4.0 * math.pi * w[1:-1] * 2.5 * u[1:-1] ** 1.5 / np.sqrt(r[1:-1])
+    normal = 8.0 * math.pi * w * u
+    resid = g - (g @ u) / (normal @ u) * normal
+    resid[(u <= 0.0) & (resid > 0.0)] = 0.0
+    return float(np.linalg.norm(resid))
+
+
 class TestDysonSolver:
     def test_dilation_identity_for_any_profile(self):
         # E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P is exact bookkeeping
@@ -258,6 +272,42 @@ class TestDysonSolver:
         assert abs(finer.energy - solved_state.energy) < 1e-3 * abs(
             solved_state.energy
         )
+
+    def test_reaches_tolerance_at_default_grid(self):
+        st = dyson_variational_solve(grid_n=2000, r_max=40.0)
+        assert st.converged
+        r = st.phi.nodes
+        u = r * st.phi.values
+        u[0] = 0.0
+        # the documented first iterate, zero at both ends and normalized
+        u_init = r * np.exp(-(r**2) / 18.0)
+        u_init[-1] = 0.0
+        u_init /= math.sqrt(4.0 * math.pi * (r[1] - r[0]) * (u_init @ u_init))
+        rel = _projected_gradient_norm(u, r, st.i0) / _projected_gradient_norm(
+            u_init, r, st.i0
+        )
+        assert rel < 1e-7
+        assert st.relative_gradient < 1e-7
+        # the projected-gradient flow this solver replaced stopped at
+        # E = -0.05034128771796341 without reaching its tolerance
+        assert st.energy <= -0.05034128771796341
+
+    def test_iterations_independent_of_mesh(self, solved_state):
+        fine = dyson_variational_solve(grid_n=4000, r_max=40.0)
+        assert solved_state.iterations <= 20 and fine.iterations <= 20
+        assert abs(fine.iterations - solved_state.iterations) <= 2
+
+    def test_far_init_reaches_same_minimum(self, solved_state):
+        # too narrow a start: the plain Newton step points uphill here
+        r = np.linspace(0.0, 40.0, 801)
+        init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
+        st = dyson_variational_solve(grid_n=1500, r_max=40.0, init=init)
+        assert st.relative_gradient < 1e-7
+        assert st.energy == pytest.approx(solved_state.energy, rel=1e-9)
+
+    def test_unconverged_solve_raises(self):
+        with pytest.raises(ConvergenceError):
+            dyson_variational_solve(grid_n=1500, r_max=40.0, max_iter=1)
 
     def test_custom_init_same_minimum(self, solved_state):
         r = np.linspace(0.0, 40.0, 801)

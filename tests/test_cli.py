@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from coulomblab import bogoliubov
 from coulomblab.cli import DEFAULT_SEED, main
+from coulomblab.errors import ConvergenceError
 from coulomblab.report import EnergyReport, dumps_canonical, format_float, rows_to_csv
 
 
@@ -104,6 +110,58 @@ class TestCliContract:
         header = json.loads(lines[0][2:])
         assert header["virial_residual"] < 1e-3
         assert header["E"] < 0
+        assert header["converged"] is True
+        assert header["relative_gradient"] < 1e-7
+        assert 1 <= header["iterations"] <= 20
+
+    def test_dyson_pipeline_csv_header(self, tmp_path):
+        out = tmp_path / "pipeline.csv"
+        assert main(["dyson-pipeline", "--grid-n", "800", "--format", "csv",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        header = json.loads(lines[0][2:])
+        assert header["converged"] is True
+        assert header["pass"] is True
+        assert {"E_star", "iterations", "relative_gradient"} <= set(header)
+        assert lines[1] == "N,E_upper,E_upper_over_N75,length_scale"
+
+    def test_library_error_is_structured(self, capsys):
+        assert main(["graf-schenker", "--samples", "500"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "need at least 1000 samples",
+            "subcommand": "graf-schenker",
+        }
+
+    def test_convergence_error_is_structured(self, monkeypatch, capsys):
+        def fail(**kwargs):
+            raise ConvergenceError("no convergence in 1 Newton steps")
+
+        monkeypatch.setattr(bogoliubov, "dyson_variational_solve", fail)
+        assert main(["dyson-solve"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+        assert err["subcommand"] == "dyson-solve"
+
+    def test_dyson_solve_bytes_across_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("2", "2", "1"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+            env["OMP_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "coulomblab.cli", "dyson-solve"],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["converged"] is True
 
     def test_thermo_limit_csv_schema(self, tmp_path):
         out = tmp_path / "thermo.csv"
