@@ -6,14 +6,22 @@ Newton's theorem makes opposite-species interactions exact and same-species
 interactions one-sided, which yields the classic Onsager-style bound
 
     V_C >= -(12/5) sum_j Q_j^2 / delta_j.
+
+Disjoint balls interact exactly like points, so numerical work is needed
+only for overlapping same-species pairs.  Their interaction is one radial
+integral whose integrand is piecewise polynomial of degree <= 5 between
+breakpoints known in advance; a 3-node Gauss-Legendre rule per piece is
+exact for degree 5, so it gives the interaction to rounding
+(``smeared_pair_interaction`` for one pair, ``smeared_pair_interactions``
+for arrays of pairs, which the bound chain uses).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import CoincidentChargesError, NoOppositeSpeciesError
 from .report import EnergyReport
@@ -26,13 +34,16 @@ __all__ = [
     "newton_smeared_potential",
     "smeared_self_energy",
     "smeared_pair_interaction",
+    "smeared_pair_interactions",
     "onsager_lower_bound",
     "random_neutral_configuration",
 ]
 
 COINCIDENCE_REL_TOL = 1e-12
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(48)
+# 3-node Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 5
+_GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+_GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
 @dataclass
@@ -127,13 +138,10 @@ class SmearedConfiguration:
 
 def exact_coulomb_energy(c: ChargeConfiguration) -> float:
     """sum_{i<j} Q_i Q_j / |r_i - r_j|."""
-    n = len(c)
-    if n < 2:
+    if len(c) < 2:
         return 0.0
-    d = c.pair_distances()
-    qq = np.outer(c.charges, c.charges)
-    iu = np.triu_indices(n, k=1)
-    return float((qq[iu] / d[iu]).sum())
+    i, j = np.triu_indices(len(c), k=1)
+    return float((c.charges[i] * c.charges[j] / c.pair_distances()[i, j]).sum())
 
 
 def nearest_opposite_distances(c: ChargeConfiguration) -> np.ndarray:
@@ -141,13 +149,15 @@ def nearest_opposite_distances(c: ChargeConfiguration) -> np.ndarray:
 
     Brute force O(N^2) scan; at desk scale exactness beats indexing.
     """
-    labels = np.asarray(c.species)
+    return _nearest_opposite(c.species, c.pair_distances())
+
+
+def _nearest_opposite(species: tuple[str, ...], d: np.ndarray) -> np.ndarray:
+    labels = np.asarray(species)
     if not (np.any(labels == "plus") and np.any(labels == "minus")):
         raise NoOppositeSpeciesError("both species required for delta_j")
-    d = c.pair_distances()
     opp = np.not_equal.outer(labels, labels)
-    dd = np.where(opp, d, np.inf)
-    return dd.min(axis=1)
+    return np.where(opp, d, np.inf).min(axis=1)
 
 
 def newton_smeared_potential(delta: float, r: float) -> float:
@@ -175,25 +185,61 @@ def smeared_self_energy(delta: float) -> float:
     return 12.0 / (5.0 * delta)
 
 
-def _ball_potential_antiderivative(s: np.ndarray, delta: float) -> np.ndarray:
-    """Antiderivative of s * W_delta(s) for the uniform-ball potential W."""
-    s = np.asarray(s, dtype=float)
+def _inside_antiderivative(x, delta):
+    """(3 x^2 / 2 - x^4 / delta^2) / delta, the antiderivative of t W(t) in the ball.
+
+    Plain products only, here and in ``_nested_integrand``, so that a float
+    and an array element round identically.
+    """
+    x2 = x * x
+    return (1.5 * x2 - x2 * x2 / (delta * delta)) / delta
+
+
+def _antiderivative(x: float, delta: float) -> float:
+    """Antiderivative of t W_delta(t), continued linearly outside the ball."""
     a = delta / 2.0
-    inner = (1.5 * s * s - s**4 / delta**2) / delta
-    at_edge = 5.0 * delta / 16.0
-    outer = at_edge + (s - a)
-    return np.where(s <= a, inner, outer)
+    if x <= a:
+        return _inside_antiderivative(x, delta)
+    return 5.0 * delta / 16.0 + (x - a)
+
+
+def _ball_potential_antiderivative(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``_antiderivative`` elementwise."""
+    a = delta / 2.0
+    return np.where(x <= a, _inside_antiderivative(x, delta), 5.0 * delta / 16.0 + (x - a))
+
+
+def _nested_integrand(s, d, delta):
+    """s^2 times the mean of W over a sphere of radius s at distance d from its centre.
+
+    Valid while d + s <= delta/2: there W = (3 - 4 r^2 / delta^2) / delta and
+    the mean of r^2 over the sphere is s^2 + d^2.  This is the antiderivative
+    difference in closed form, free of its cancellation as d -> 0.
+    """
+    s2 = s * s
+    return s2 * (3.0 - 4.0 * (s2 + d * d) / (delta * delta)) / delta
 
 
 def smeared_pair_interaction(delta_i: float, delta_j: float, d: float) -> float:
     """Coulomb interaction of two normalized uniform balls at separation d.
 
     Disjoint balls (d >= (delta_i + delta_j)/2) interact exactly like point
-    charges, 1/d.  Overlapping balls are reduced to a single radial
-    quadrature of the iterated Newton potential: the spherical mean of a
-    radial function u over the sphere of radius s centered at distance d is
-    (2 s d)^-1 int_{|d-s|}^{d+s} t u(t) dt, and that inner integral has a
-    closed piecewise-polynomial antiderivative for the ball potential.
+    charges, 1/d.  Overlapping balls are reduced to one radial integral over
+    the smaller ball, radius a_j, of s^2 times the mean of the larger ball's
+    potential W over the sphere of radius s centred at distance d:
+
+        (3 / a_j^3) int_0^{a_j} s [P(d + s) - P(|d - s|)] / (2 d) ds,
+
+    with P the antiderivative of t W(t): even and of degree 4 inside the
+    larger ball (radius a_i >= a_j), linear outside.  Between the points where
+    d + s or |d - s| crosses a_i the integrand is therefore a polynomial of
+    degree <= 5, which the 3-node Gauss-Legendre rule integrates exactly.
+    Because a_i >= a_j, the only such point inside (0, a_j) is s = |d - a_i|,
+    so there are at most two pieces.  Where the whole sphere lies inside the
+    larger ball (d + s <= a_i) the integrand is evaluated in its closed form
+    s^2 (3 - 4 (s^2 + d^2) / delta_i^2) / delta_i, which also covers d = 0.
+
+    ``smeared_pair_interactions`` evaluates the same nodes on arrays of pairs.
     """
     if delta_i <= 0 or delta_j <= 0:
         raise ValueError("smearing diameters must be positive")
@@ -201,38 +247,72 @@ def smeared_pair_interaction(delta_i: float, delta_j: float, d: float) -> float:
         raise ValueError("separation must be nonnegative")
     if d >= (delta_i + delta_j) / 2.0:
         return 1.0 / d
-    # integrate over the smaller ball for slightly better conditioning
+    # integrate over the smaller ball
     if delta_j > delta_i:
         delta_i, delta_j = delta_j, delta_i
-    a_j = delta_j / 2.0
     a_i = delta_i / 2.0
-
-    if d <= 1e-7 * delta_i:
-        # concentric limit: the spherical mean degenerates to W(s) itself
-        def mean_times_s2(s):
-            inner = (3.0 - 4.0 * s * s / (delta_i * delta_i)) / delta_i
-            outer = 1.0 / np.maximum(s, 1e-300)
-            return s * s * np.where(s >= a_i, outer, inner)
-
-    else:
-
-        def mean_times_s2(s):
-            upper = _ball_potential_antiderivative(d + s, delta_i)
-            lower = _ball_potential_antiderivative(np.abs(d - s), delta_i)
-            return s * (upper - lower) / (2.0 * d)
-
-    # breakpoints where |d - s| or d + s crosses the ball edge a_i
-    pts = sorted(
-        {0.0, a_j}
-        | {x for x in (a_i - d, a_i + d, d - a_i) if 0.0 < x < a_j}
-    )
+    a_j = delta_j / 2.0
+    cut = abs(d - a_i)
+    ends = (0.0, cut, a_j) if 0.0 < cut < a_j else (0.0, a_j)
     total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
+    for lo, hi in zip(ends[:-1], ends[1:]):
         mid = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
-        s = mid + half * _GAUSS_NODES
-        total += half * float(np.dot(_GAUSS_WEIGHTS, mean_times_s2(s)))
-    return (3.0 / a_j**3) * total
+        piece = 0.0
+        for x, w in zip(_GL3_NODES, _GL3_WEIGHTS):
+            s = mid + half * x
+            if d + s <= a_i:
+                f = _nested_integrand(s, d, delta_i)
+            else:
+                f = s * (_antiderivative(d + s, delta_i)
+                         - _antiderivative(abs(d - s), delta_i)) / (2.0 * d)
+            piece += w * f
+        total += half * piece
+    return 3.0 / (a_j * a_j * a_j) * total
+
+
+def smeared_pair_interactions(
+    delta_i: np.ndarray, delta_j: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """``smeared_pair_interaction`` on arrays of overlapping pairs.
+
+    Every pair must overlap, d < (delta_i + delta_j)/2.  Each pair gets the
+    scalar form's two pieces and 3 nodes per piece, a missing breakpoint
+    collapsing the second piece onto a_j, in the same order of operations,
+    so the two forms return the same floats.
+    """
+    delta_i, delta_j, d = np.broadcast_arrays(
+        np.asarray(delta_i, dtype=float), np.asarray(delta_j, dtype=float),
+        np.asarray(d, dtype=float))
+    big = np.maximum(delta_i, delta_j)
+    small = np.minimum(delta_i, delta_j)
+    if not (np.all(small > 0) and np.all(d >= 0)):
+        raise ValueError("diameters must be positive and separations nonnegative")
+    if not np.all(d < 0.5 * (delta_i + delta_j)):
+        raise ValueError("every pair must overlap; disjoint balls interact as 1/d")
+    a_i = big / 2.0
+    a_j = small / 2.0
+    cut = np.abs(d - a_i)
+    cut = np.where((cut > 0.0) & (cut < a_j), cut, a_j)
+    # (pairs, piece, node)
+    lo = np.stack([np.zeros_like(cut), cut], axis=-1)[..., None]
+    hi = np.stack([cut, a_j], axis=-1)[..., None]
+    half = 0.5 * (hi - lo)
+    s = 0.5 * (hi + lo) + half * np.asarray(_GL3_NODES)
+    delta = big[..., None, None]
+    sep = d[..., None, None]
+    nested = sep + s <= a_i[..., None, None]
+    # d > 0 wherever the sphere leaves the larger ball
+    div = np.where(nested, 1.0, sep)
+    f = np.where(
+        nested,
+        _nested_integrand(s, sep, delta),
+        s * (_ball_potential_antiderivative(sep + s, delta)
+             - _ball_potential_antiderivative(np.abs(sep - s), delta)) / (2.0 * div),
+    )
+    w0, w1, w2 = _GL3_WEIGHTS
+    piece = half[..., 0] * (w0 * f[..., 0] + w1 * f[..., 1] + w2 * f[..., 2])
+    return 3.0 / (a_j * a_j * a_j) * (piece[..., 0] + piece[..., 1])
 
 
 def onsager_lower_bound(c: ChargeConfiguration, seed: int | None = None) -> EnergyReport:
@@ -250,22 +330,21 @@ def onsager_lower_bound(c: ChargeConfiguration, seed: int | None = None) -> Ener
     with the positive-type step, which also admits the stronger correction
     -(6/5) sum Q_j^2/delta_j recorded in ``extras``.
     """
-    deltas = nearest_opposite_distances(c)
-    exact = exact_coulomb_energy(c)
-
     n = len(c)
     d = c.pair_distances()
-    qq = np.outer(c.charges, c.charges)
-    half_sum = 0.5 * np.add.outer(deltas, deltas)
-    iu = np.triu_indices(n, k=1)
-    disjoint = d[iu] >= half_sum[iu]
+    deltas = _nearest_opposite(c.species, d)
+    i, j = np.triu_indices(n, k=1)
+    qq = c.charges[i] * c.charges[j]
+    dist = d[i, j]
+    exact = float((qq / dist).sum())
+
     # disjoint balls interact exactly like points; opposite-species pairs are
     # always disjoint because delta never exceeds the opposite distance
-    pair_sum = float(np.sum(qq[iu][disjoint] / d[iu][disjoint]))
-    for i, j in zip(iu[0][~disjoint], iu[1][~disjoint]):
-        pair_sum += qq[i, j] * smeared_pair_interaction(
-            deltas[i], deltas[j], d[i, j]
-        )
+    overlap = dist < 0.5 * (deltas[i] + deltas[j])
+    pair_sum = float(np.sum(qq[~overlap] / dist[~overlap]))
+    if overlap.any():
+        pair_sum += float(np.sum(qq[overlap] * smeared_pair_interactions(
+            deltas[i[overlap]], deltas[j[overlap]], dist[overlap])))
     q2_over_delta = float(np.sum(c.charges**2 / deltas))
     half_self = 0.5 * (12.0 / 5.0) * q2_over_delta
     smeared_interaction = pair_sum + half_self
@@ -297,6 +376,8 @@ def onsager_lower_bound(c: ChargeConfiguration, seed: int | None = None) -> Ener
         },
         provenance={"n_particles": n, "seed": seed},
     )
+
+
 
 
 def random_neutral_configuration(

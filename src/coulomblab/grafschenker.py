@@ -24,6 +24,8 @@ __all__ = [
     "Simplex",
     "IsometrySample",
     "regular_tetrahedron",
+    "SimplexTester",
+    "random_rotations",
     "sample_isometry",
     "overlap_kernel",
     "estimate_radial_kernel",
@@ -108,7 +110,7 @@ def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
     return m
 
 
-def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-uniform rotations from normalized 4-component Gaussians."""
     q = rng.standard_normal((n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -123,12 +125,12 @@ def sample_isometry(
     hi = np.asarray(cell_hi, dtype=float).reshape(3)
     if not np.all(hi > lo):
         raise ValueError("translation cell must have positive volume")
-    rot = _random_rotations(rng, 1)[0]
+    rot = random_rotations(rng, 1)[0]
     t = rng.uniform(lo, hi)
     return IsometrySample(rot, t)
 
 
-class _SimplexTester:
+class SimplexTester:
     """Barycentric containment test for g(l simplex) in batch form."""
 
     def __init__(self, simplex: Simplex, ell: float):
@@ -171,7 +173,7 @@ def overlap_kernel(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    tester = _SimplexTester(simplex, ell)
+    tester = SimplexTester(simplex, ell)
     pts = np.stack([np.asarray(r, float).reshape(3), np.asarray(r_prime, float).reshape(3)])
     lo, hi = _translation_cell(pts, tester.reach)
     v_cell = float(np.prod(hi - lo))
@@ -181,7 +183,7 @@ def overlap_kernel(
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        rots = _random_rotations(rng, m)
+        rots = random_rotations(rng, m)
         trans = rng.uniform(lo, hi, size=(m, 3))
         # map the two points into the reference placement: R^T (p - t)
         rel = pts[None, :, :] - trans[:, None, :]
@@ -352,7 +354,7 @@ def sliding_inequality_experiment(
 
     rows = []
     for idx, ell in enumerate(np.asarray(ell_list, dtype=float)):
-        tester = _SimplexTester(simplex, ell)
+        tester = SimplexTester(simplex, ell)
         lo, hi = _translation_cell(c.positions, tester.reach)
         v_cell = float(np.prod(hi - lo))
         rng = np.random.default_rng([seed, idx])
@@ -362,7 +364,7 @@ def sliding_inequality_experiment(
         done = 0
         while done < samples:
             m = min(chunk, samples - done)
-            rots = _random_rotations(rng, m)
+            rots = random_rotations(rng, m)
             trans = rng.uniform(lo, hi, size=(m, 3))
             rel = c.positions[None, :, :] - trans[:, None, :]
             local = np.einsum("mji,mpj->mpi", rots, rel)

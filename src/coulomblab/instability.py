@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import linregress
 
 from .liebthirring import lowest_cube_mode_energies
 from .report import EnergyReport
@@ -221,7 +220,11 @@ def attractive_collapse_experiment(
         top = max(2, len(n_arr) // 2)
         logs_n = np.log(n_arr[-top:].astype(float))
         logs_k = np.log([row["kinetic"] for row in rows[-top:]])
-        slope = float(linregress(logs_n, logs_k).slope)
+        # least-squares slope, computed as scipy.stats.linregress does
+        cov = np.cov(logs_n, logs_k, bias=1)
+        if cov[0, 0] == 0.0:
+            raise ValueError("the fitted N values must not all be equal")
+        slope = float(cov[0, 1] / cov[0, 0])
     else:
         slope = math.nan
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .grafschenker import Simplex, _random_rotations, _SimplexTester
+from .grafschenker import Simplex, SimplexTester, random_rotations
 from .liebthirring import cube_mode_energies_below
 
 __all__ = [
@@ -127,7 +127,7 @@ class SimplexDomain(Domain):
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self._tester = _SimplexTester(self.simplex, self.ell)
+        self._tester = SimplexTester(self.simplex, self.ell)
 
     def contains(self, points):
         local = (points - self.translation) @ self.rotation
@@ -429,7 +429,7 @@ def axiom_check(
         from .grafschenker import regular_tetrahedron
 
         simplex = regular_tetrahedron()
-    tester = _SimplexTester(simplex, ell)
+    tester = SimplexTester(simplex, ell)
     margins = []
     for dom in suite[:a5_subset]:
         lo, hi = dom.bounding_box()
@@ -437,7 +437,7 @@ def axiom_check(
         hi = hi + tester.reach
         v_cell = float(np.prod(hi - lo))
         rng = np.random.default_rng([seed, 5])
-        rots = _random_rotations(rng, mc_samples)
+        rots = random_rotations(rng, mc_samples)
         trans = rng.uniform(lo, hi, size=(mc_samples, 3))
         vals = np.empty(mc_samples)
         for i in range(mc_samples):

@@ -145,7 +145,8 @@ class TestCliContract:
         assert err["error"] == "ConvergenceError"
         assert err["subcommand"] == "dyson-solve"
 
-    def test_dyson_solve_bytes_across_blas_threads(self):
+    @staticmethod
+    def _stdout_across_blas_threads(subcommand):
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("2", "2", "1"):
@@ -156,12 +157,22 @@ class TestCliContract:
                 p for p in (src, os.environ.get("PYTHONPATH")) if p
             )
             proc = subprocess.run(
-                [sys.executable, "-m", "coulomblab.cli", "dyson-solve"],
+                [sys.executable, "-m", "coulomblab.cli", subcommand],
                 env=env, capture_output=True, check=True,
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
-        assert json.loads(outputs[0])["converged"] is True
+        return outputs[0]
+
+    def test_dyson_solve_bytes_across_blas_threads(self):
+        out = self._stdout_across_blas_threads("dyson-solve")
+        assert json.loads(out)["converged"] is True
+
+    def test_onsager_check_bytes_across_blas_threads(self):
+        out = self._stdout_across_blas_threads("onsager-check")
+        assert out.decode() == (
+            '{"configs":2000,"pass":true,"seed":137,"violations":0}\n'
+        )
 
     def test_thermo_limit_csv_schema(self, tmp_path):
         out = tmp_path / "thermo.csv"

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
 from coulomblab.coulomb import (
@@ -15,6 +16,7 @@ from coulomblab.coulomb import (
     onsager_lower_bound,
     random_neutral_configuration,
     smeared_pair_interaction,
+    smeared_pair_interactions,
     smeared_self_energy,
 )
 from coulomblab.errors import CoincidentChargesError, NoOppositeSpeciesError
@@ -61,6 +63,54 @@ def ball_average_oracle(delta, r):
             val, _ = quad(outer, lo, hi, epsabs=1e-13, epsrel=1e-10, limit=400)
             total += val
     return 6.0 / (math.pi * delta**3) * 2.0 * math.pi * total
+
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(48)
+
+
+def gauss48_pair_interaction(delta_i, delta_j, d):
+    """The former 48-node route for overlapping balls, kept as the oracle.
+
+    Above d = 1e-7 delta_i it differences the antiderivative P at d + s and
+    |d - s|, which loses about eps * delta_i / d of relative accuracy.
+    """
+    if delta_j > delta_i:
+        delta_i, delta_j = delta_j, delta_i
+    a_j = delta_j / 2.0
+    a_i = delta_i / 2.0
+
+    def antiderivative(s):
+        inner = (1.5 * s * s - s**4 / delta_i**2) / delta_i
+        return np.where(s <= a_i, inner, 5.0 * delta_i / 16.0 + (s - a_i))
+
+    if d <= 1e-7 * delta_i:
+        def mean_times_s2(s):
+            inner = (3.0 - 4.0 * s * s / (delta_i * delta_i)) / delta_i
+            return s * s * np.where(s >= a_i, 1.0 / np.maximum(s, 1e-300), inner)
+    else:
+        def mean_times_s2(s):
+            return s * (antiderivative(d + s) - antiderivative(np.abs(d - s))) / (2.0 * d)
+
+    pts = sorted({0.0, a_j} | {x for x in (a_i - d, a_i + d, d - a_i) if 0.0 < x < a_j})
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
+        total += 0.5 * (hi - lo) * float(np.dot(_GAUSS_WEIGHTS, mean_times_s2(s)))
+    return (3.0 / a_j**3) * total
+
+
+def overlapping_pairs(rng, n):
+    """Unequal diameters, d from 0 up to touching, dense around 1e-7 delta_i."""
+    delta_i = rng.uniform(0.1, 5.0, n)
+    delta_j = delta_i * rng.uniform(0.05, 0.999, n)
+    touching = 0.5 * (delta_i + delta_j)
+    d = touching * rng.uniform(0.0, 1.0, n)
+    d[: n // 4] = delta_i[: n // 4] * 10.0 ** rng.uniform(-9.0, -5.0, n // 4)
+    d[n // 4 : n // 4 + 5] = 0.0
+    d[n // 4 + 5 : n // 4 + 10] = touching[n // 4 + 5 : n // 4 + 10] * (1 - 1e-12)
+    flip = rng.random(n) < 0.5
+    delta_i[flip], delta_j[flip] = delta_j[flip], delta_i[flip]
+    return delta_i, delta_j, d
 
 
 class TestExactCoulomb:
@@ -180,6 +230,64 @@ class TestSmearedEnergies:
         d = 0.9999999
         assert smeared_pair_interaction(1.0, 1.0, d) == pytest.approx(1.0 / d, rel=1e-9)
 
+    def test_coincident_equal_balls_are_self_energy(self):
+        for delta in (0.1, 1.0, 3.7):
+            assert smeared_pair_interaction(delta, delta, 0.0) == pytest.approx(
+                12.0 / (5.0 * delta), rel=1e-14
+            )
+
+    def test_equal_diameters_closed_form(self):
+        rng = np.random.default_rng(17)
+        for delta in rng.uniform(0.1, 5.0, 50):
+            a = delta / 2.0
+            for x in np.concatenate([[0.0, 1e-9, 1e-7, 1e-5], rng.uniform(0.0, 2.0, 20)]):
+                want = (6.0 / 5.0 - x**2 / 2.0 + 3.0 * x**3 / 16.0 - x**5 / 160.0) / a
+                got = smeared_pair_interaction(delta, delta, x * a)
+                assert got == pytest.approx(want, rel=1e-12), (delta, x)
+
+    def test_nested_ball_closed_form(self):
+        # ball j inside ball i sees the quadratic potential, whose mean over
+        # ball j is (3 - 4 (d^2 + 3 a_j^2 / 5) / delta_i^2) / delta_i
+        rng = np.random.default_rng(19)
+        delta_i = rng.uniform(0.1, 5.0, 500)
+        delta_j = delta_i * rng.uniform(0.05, 0.9, 500)
+        d = delta_i * 10.0 ** rng.uniform(-12.0, -1.5, 500)
+        d[:5] = 0.0
+        want = (3.0 - 4.0 * (d**2 + 0.6 * (delta_j / 2.0) ** 2) / delta_i**2) / delta_i
+        got = np.array([smeared_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+        vector = smeared_pair_interactions(delta_i, delta_j, d)
+        assert np.max(np.abs(vector / want - 1.0)) <= 1e-14
+
+    def test_three_nodes_match_48_node_oracle(self):
+        delta_i, delta_j, d = overlapping_pairs(np.random.default_rng(23), 2400)
+        oracle = np.array([gauss48_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
+        scalar = np.array([smeared_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
+        vector = smeared_pair_interactions(delta_i, delta_j, d)
+        # the oracle's own rounding: 1e-13, plus its cancellation above 1e-7 delta
+        big = np.maximum(delta_i, delta_j)
+        allowed = 1e-13 + np.where(
+            d > 1e-7 * big, np.finfo(float).eps * big / np.maximum(d, 1e-300), 0.0)
+        for got in (scalar, vector):
+            assert np.all(np.abs(got / oracle - 1.0) <= allowed)
+        well_conditioned = d >= 1e-3 * big
+        assert well_conditioned.sum() >= 1500
+        assert np.max(np.abs(scalar / oracle - 1.0)[well_conditioned]) <= 1e-13
+
+    def test_scalar_and_vector_forms_agree(self):
+        delta_i, delta_j, d = overlapping_pairs(np.random.default_rng(29), 2000)
+        scalar = np.array([smeared_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
+        vector = smeared_pair_interactions(delta_i, delta_j, d)
+        assert np.max(np.abs(vector / scalar - 1.0)) <= 1e-15
+
+    def test_vector_form_rejects_disjoint_and_bad_pairs(self):
+        with pytest.raises(ValueError):
+            smeared_pair_interactions([1.0], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            smeared_pair_interactions([1.0], [0.0], [0.1])
+        with pytest.raises(ValueError):
+            smeared_pair_interactions([1.0], [1.0], [-0.1])
+
     def test_smeared_configuration_validates_deltas(self):
         c = pair_config(1.0)
         SmearedConfiguration(c, [1.0, 1.0])
@@ -229,6 +337,24 @@ class TestOnsagerBound:
             c = random_neutral_configuration(rng, n_min=2, n_max=14)
             rep = onsager_lower_bound(c)
             assert rep.all_checks_pass, rep.to_dict()
+
+    def test_chain_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            c = random_neutral_configuration(rng, n_min=10, n_max=40, box=4.0)
+            rep = onsager_lower_bound(c)
+            deltas = nearest_opposite_distances(c)
+            d = c.pair_distances()
+            want = 1.2 * float(np.sum(c.charges**2 / deltas))
+            for i in range(len(c)):
+                for j in range(i + 1, len(c)):
+                    q = c.charges[i] * c.charges[j]
+                    if d[i, j] >= 0.5 * (deltas[i] + deltas[j]):
+                        want += q / d[i, j]
+                    else:
+                        want += q * gauss48_pair_interaction(deltas[i], deltas[j], d[i, j])
+            scale = abs(rep.extras["exact"]) + abs(rep.extras["final_bound"])
+            assert abs(rep.terms["smeared_interaction"] - want) <= 1e-13 * scale
 
     def test_opposite_pairs_are_disjoint_by_construction(self):
         rng = np.random.default_rng(31)

@@ -8,7 +8,7 @@ from coulomblab.errors import DegenerateSimplexError
 from coulomblab.grafschenker import (
     IsometrySample,
     Simplex,
-    _random_rotations,
+    random_rotations,
     estimate_radial_kernel,
     gs_positive_type_check,
     overlap_kernel,
@@ -46,12 +46,12 @@ class TestIsometrySampling:
         assert np.linalg.det(s.rotation) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_mean_is_zero(self):
-        rots = _random_rotations(np.random.default_rng(SEED), 100000)
+        rots = random_rotations(np.random.default_rng(SEED), 100000)
         assert np.abs(rots.mean(axis=0)).max() < 0.01
 
     def test_angle_density(self):
         # rotation angle of a Haar rotation has density (1 - cos t) / pi
-        rots = _random_rotations(np.random.default_rng(SEED), 100000)
+        rots = random_rotations(np.random.default_rng(SEED), 100000)
         traces = np.einsum("mii->m", rots)
         angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
         grid = np.linspace(0.0, math.pi, 400)

@@ -164,6 +164,17 @@ class TestAttractiveCollapse:
                 ns, radius=1.0, c=0.5, ndim=3, w_profile=lambda r: -0.4
             )
 
+    def test_fitted_exponent_is_least_squares_slope(self):
+        ns = np.unique(np.round(np.geomspace(8, 4096, 12)).astype(int))
+        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
+        top = rep.rows[-6:]
+        x = np.log([r["N"] for r in top])
+        design = np.stack([x, np.ones_like(x)], axis=1)
+        slope = np.linalg.lstsq(design, np.log([r["kinetic"] for r in top]), rcond=None)[0][0]
+        assert rep.fitted_exponent == pytest.approx(slope, rel=1e-12)
+        with pytest.raises(ValueError):
+            attractive_collapse_experiment(np.array([64, 64]), 1.0, 1.0, ndim=3)
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             attractive_collapse_experiment(np.array([8]), 1.0, 1.0, ndim=4)

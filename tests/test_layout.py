@@ -1,0 +1,32 @@
+"""Package layout rules that no functional test would notice breaking."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "coulomblab"
+
+
+def test_no_private_names_imported_from_sibling_modules():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("coulomblab")
+            ):
+                offenders += [f"{path.name}: {alias.name} from {node.module}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert not offenders, offenders
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    probe = "import sys, coulomblab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
