@@ -437,8 +437,6 @@ def bogoliubov_dispersion_min(tau: float, g: float) -> tuple[float, float]:
     """
     if tau < 0 or g < 0:
         raise ValueError("tau and g must be nonnegative")
-    if tau == 0.0 and g == 0.0:
-        return 0.0, 0.0
     if g == 0.0:
         return 0.0, 0.0
     if tau == 0.0:

@@ -29,7 +29,6 @@ _LIBRARY_ERRORS = (
     errors.TruncationError,
     errors.ConvergenceError,
     errors.BoundViolationError,
-    errors.InternalConsistencyError,
 )
 
 DEFAULT_TOLERANCES = {
@@ -328,9 +327,7 @@ def _run_rel_collapse(cfg: RunConfig) -> int:
         instability.TwoBodyTrialState("correlated", center_width=8.0,
                                       relative_width=1.0),
     ]
-    q_upper = instability.critical_charge_upper_bound(
-        family, np.array([0.5, 1.0, 2.0])
-    )
+    q_upper = instability.critical_charge_upper_bound(family)
     ok = resid < cfg.tol("scaling_identity")
     _emit(cfg, {"scaling_residual": resid, "Q_upper": q_upper, "pass": ok})
     return 0 if ok else 1

@@ -66,16 +66,21 @@ class ChargeConfiguration:
         n = len(self.charges)
         if self.positions.shape[0] != n or len(self.species) != n:
             raise ValueError("positions, charges and species lengths differ")
-        for q, s in zip(self.charges, self.species):
-            if s not in ("plus", "minus"):
-                raise ValueError(f"unknown species label {s!r}")
-            if (s == "plus") != (q > 0):
-                raise ValueError("charge sign does not match species label")
+        labels = np.array(self.species, dtype=object)
+        plus = labels == "plus"
+        known = plus | (labels == "minus")
+        bad = ~known | (plus != (self.charges > 0))
+        if bad.any():
+            # report the first offending charge, label before sign
+            i = int(np.argmax(bad))
+            if not known[i]:
+                raise ValueError(f"unknown species label {self.species[i]!r}")
+            raise ValueError("charge sign does not match species label")
         if n >= 2:
             d = self.pair_distances()
-            iu = np.triu_indices(n, k=1)
-            dmin = float(d[iu].min())
-            diam = float(d[iu].max())
+            diam = float(d.max())
+            np.fill_diagonal(d, np.inf)
+            dmin = float(d.min())
             if dmin <= COINCIDENCE_REL_TOL * max(diam, 1.0):
                 raise CoincidentChargesError(
                     f"minimal separation {dmin:.3e} below coincidence tolerance"

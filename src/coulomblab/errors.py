@@ -55,7 +55,3 @@ class ConvergenceError(RuntimeError):
 
 class BoundViolationError(RuntimeError):
     """A quantity violated an inequality it is required to satisfy."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A minimization that must stay bounded ran to the scan boundary."""

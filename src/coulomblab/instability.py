@@ -137,33 +137,22 @@ def _massless_minimum(family, scan, q: float) -> float:
     return best
 
 
-def critical_charge_upper_bound(
-    family: list[TwoBodyTrialState],
-    scan: np.ndarray,
-    q_tol: float = 1e-6,
-) -> float:
+def critical_charge_upper_bound(family: list[TwoBodyTrialState]) -> float:
     """Smallest coupling where some trial state turns the massless energy negative.
 
-    The massless energy at fixed shape is linear in Q and homogeneous of
-    degree -1 in the width, so the threshold is width independent per shape;
-    bisection brackets it to ``q_tol``.  The result is a variational upper
+    The massless energy 2 <|p|> - Q <1/r> of one shape is linear in Q and
+    homogeneous of degree -1 in the width, so its threshold 2 <|p|> / <1/r>
+    is width independent; <|p|> = 2 sigma sqrt(2/pi) for a Gaussian momentum
+    with per-component deviation sigma.  The result is a variational upper
     bound on the true critical charge, monotone under family enlargement.
     """
-    if not family or len(scan) == 0:
-        raise ValueError("need a nonempty family and width scan")
-    lo = 0.0
-    hi = 1.0
-    while _massless_minimum(family, scan, hi) >= 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no negative energy found at any tested coupling")
-    while hi - lo > q_tol:
-        midq = 0.5 * (lo + hi)
-        if _massless_minimum(family, scan, midq) < 0:
-            hi = midq
-        else:
-            lo = midq
-    return 0.5 * (lo + hi)
+    if not family:
+        raise ValueError("need a nonempty family")
+    return min(
+        4.0 * math.sqrt(2.0 / math.pi) * t.momentum_std()
+        / t.inverse_distance_expectation()
+        for t in family
+    )
 
 
 @dataclass

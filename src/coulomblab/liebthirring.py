@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
-
-from .errors import InternalConsistencyError
 
 __all__ = [
     "LtParameters",
@@ -36,25 +32,16 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
-def _raw_phase_space_coefficient() -> float:
-    """kappa with int int_{p^2/2m <= V} (p^2/2m - V) dr dp = -kappa m^(3/2) int V^(5/2).
-
-    Extracted numerically from the quadrature on a constant potential; the
-    closed form is (8 pi / 15) * 2^(3/2).
-    """
-    value, kappa = semiclassical_phase_space_energy(np.array([1.0]), 1.0, 1.0)
-    return kappa
-
-
 def classical_lt_constant() -> float:
     """Phase-space coefficient per unit cell (2 pi)^3 of phase space.
 
-    With this constant the optimized box bound equals the Berezin-Li-Yau
-    semiclassical kinetic energy, the sharp lower bound on Dirichlet
-    eigenvalue sums.
+    The coefficient kappa of int int_{p^2/2m <= V} (p^2/2m - V) dr dp
+    = -kappa m^(3/2) int V^(5/2) is (8 pi / 15) 2^(3/2), so the constant is
+    2^(3/2) / (15 pi^2).  With it the optimized box bound equals the
+    Berezin-Li-Yau semiclassical kinetic energy, the sharp lower bound on
+    Dirichlet eigenvalue sums.
     """
-    return _raw_phase_space_coefficient() / (2.0 * math.pi) ** 3
+    return 2.0**1.5 / (15.0 * math.pi**2)
 
 
 @dataclass
@@ -164,13 +151,10 @@ def opposite_charge_potential_bound(
     return r_star, -const * q**5 * minimum
 
 
-def _density_objective(s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters):
-    """Per-volume energy bound as a function of species densities.
-
-    c1 n^(5/3) comes from the half-kinetic box bound at effective mass 2m,
-    c2 n_op^(5/6) from the optimized attraction term, mu (n+ + n-) from the
-    chemical potential.  The objective is separable in (n+, n-).
-    """
+def _density_coefficients(
+    s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters
+) -> tuple[float, float, float, float]:
+    """(c1+, c1-, c2+, c2-) of the per-volume bound; see _density_objective."""
     if not math.isclose(p_plus.m, s.m_plus) or not math.isclose(p_minus.m, s.m_minus):
         raise ValueError("LtParameters masses must match the species spec")
 
@@ -190,8 +174,17 @@ def _density_objective(s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParamete
             * sixth
         )
 
-    c1p, c1m = c1(p_plus), c1(p_minus)
-    c2p, c2m = c2(p_plus, s.Q_plus), c2(p_minus, s.Q_minus)
+    return c1(p_plus), c1(p_minus), c2(p_plus, s.Q_plus), c2(p_minus, s.Q_minus)
+
+
+def _density_objective(s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters):
+    """Per-volume energy bound as a function of species densities.
+
+    c1 n^(5/3) comes from the half-kinetic box bound at effective mass 2m,
+    c2 n_op^(5/6) from the optimized attraction term, mu (n+ + n-) from the
+    chemical potential.  The objective is separable in (n+, n-).
+    """
+    c1p, c1m, c2p, c2m = _density_coefficients(s, p_plus, p_minus)
 
     def objective(n_plus: float, n_minus: float) -> float:
         return (
@@ -205,45 +198,45 @@ def _density_objective(s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParamete
     return objective
 
 
+def _species_minimum(c1: float, c2: float, mu: float) -> float:
+    """min over n >= 0 of g(n) = c1 n^(5/3) - c2 n^(5/6) + mu n.
+
+    With y = n^(1/6), g'(n) = 0 reads h(y) = (5/3) c1 y^5 + mu y - (5/6) c2
+    = 0.  Its coefficients change sign once, so it has exactly one positive
+    root (Descartes), and since g(0) = 0 and g'(0+) = -inf that root is the
+    global minimum.  h is convex on y > 0, so Newton's method started at an
+    upper bound of the root decreases monotonically onto it; it stops when
+    rounding ends the decrease.
+    """
+    a, b = 5.0 / 3.0 * c1, 5.0 / 6.0 * c2
+    if mu >= 0:
+        y = (b / a) ** 0.2
+    else:
+        y = max((2.0 * b / a) ** 0.2, (-2.0 * mu / a) ** 0.25)
+    while True:
+        y_next = y - (a * y**5 + mu * y - b) / (5.0 * a * y**4 + mu)
+        if not y_next < y:
+            break
+        y = y_next
+    n = y**6
+    return c1 * n ** (5.0 / 3.0) - c2 * n ** (5.0 / 6.0) + mu * n
+
+
 def stability_constant(
-    s: SpeciesSpec,
-    p_plus: LtParameters,
-    p_minus: LtParameters,
-    grid_points: int = 121,
+    s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters
 ) -> float:
     """Minimum over densities n+/- >= 0 of the per-volume bound.
 
-    A logarithmic 2-d grid scan locates the basin, then a bounded
-    minimization polishes each coordinate around the scan optimum.  The 5/3
-    growth beats the 5/6 attraction so the minimum is finite; a scan that
-    ends on the outer grid boundary raises InternalConsistencyError.  The
-    returned value is the (typically negative) constant bounding
-    E(mu, Omega)/|Omega| from below.
+    The objective of _density_objective is separable, so each species is
+    minimized exactly by the root of a quintic in n^(1/6).  The 5/3 growth
+    beats the 5/6 attraction so the minimum is finite.  The returned value is
+    the (typically negative) constant bounding E(mu, Omega)/|Omega| from
+    below.
     """
-    f = _density_objective(s, p_plus, p_minus)
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, grid_points)])
-    xg, yg = np.meshgrid(grid, grid, indexing="ij")
-    values = f(xg, yg)
-    ip, im = np.unravel_index(int(np.argmin(values)), values.shape)
-    if ip == len(grid) - 1 or im == len(grid) - 1:
-        raise InternalConsistencyError("density minimization ran to the scan edge")
-
-    def polish(idx: int, other: float, axis: int) -> float:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, len(grid) - 1)]
-        if hi <= lo:
-            return grid[idx]
-        fun = (lambda x: f(x, other)) if axis == 0 else (lambda y: f(other, y))
-        res = minimize_scalar(
-            fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14}
-        )
-        return float(res.x) if res.fun <= fun(grid[idx]) else grid[idx]
-
-    n_plus, n_minus = grid[ip], grid[im]
-    for _ in range(4):
-        n_plus = polish(ip, n_minus, 0)
-        n_minus = polish(im, n_plus, 1)
-    return float(f(n_plus, n_minus))
+    c1p, c1m, c2p, c2m = _density_coefficients(s, p_plus, p_minus)
+    # n+ feels the attraction of the opposite species through c2-, and n-
+    # through c2+
+    return _species_minimum(c1p, c2m, s.mu) + _species_minimum(c1m, c2p, s.mu)
 
 
 def lowest_cube_mode_energies(
@@ -251,9 +244,8 @@ def lowest_cube_mode_energies(
 ) -> np.ndarray:
     """The `count` lowest Dirichlet eigenvalues pi^2 |n|^2 / (2 m side^2).
 
-    Modes n run over positive integer vectors; ties are broken by the
-    lexicographic order of the index vector.  The enumeration cap grows until
-    the count-th value is certainly below anything outside the cap.
+    Modes n run over positive integer vectors.  The enumeration cap grows
+    until the count-th value is certainly below anything outside the cap.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -263,8 +255,7 @@ def lowest_cube_mode_energies(
         mesh = np.meshgrid(*axes, indexing="ij")
         n2 = sum(m_**2 for m_ in mesh).reshape(-1)
         if n2.size >= count:
-            idx = np.lexsort(tuple(m_.reshape(-1) for m_ in reversed(mesh)) + (n2,))
-            n2_sorted = n2[idx]
+            n2_sorted = np.sort(n2)
             # anything outside the cap has |n|^2 >= (cap+1)^2 + (ndim-1)
             if n2_sorted[count - 1] < (cap + 1) ** 2 + (ndim - 1):
                 return (

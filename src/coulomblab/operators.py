@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BoundViolationError,
@@ -141,19 +139,16 @@ def magnetic_kinetic_quadratic_form(
     return grid_integral((np.abs(df) ** 2).sum(axis=0), f) / (2.0 * m)
 
 
-@lru_cache(maxsize=1)
 def sobolev_test_constant() -> float:
     """Sharp-regime constant from the optimizing profile (1 + r^2)^(-1/2).
 
-    High-resolution radial quadratures of int |grad u|^2 and int u^6 give
-    the optimal ratio (3 pi^2/4) / (pi^2/4)^(1/3); a 0.5% margin absorbs
-    grid discretization of test fields.  Stored in run configs, never
-    hard-coded as ground truth.
+    For that profile int |grad u|^2 = 3 pi^2 / 4 and int u^6 = pi^2 / 4, so
+    the optimal ratio is (3 pi^2/4) / (pi^2/4)^(1/3) = 3 (pi^2/4)^(2/3), the
+    sharp Sobolev constant (Talenti, Ann. Mat. Pura Appl. 110 (1976) 353); a
+    0.5% margin absorbs grid discretization of test fields.  Stored in run
+    configs, never hard-coded as ground truth.
     """
-    num, _ = quad(lambda r: r**4 * (1.0 + r * r) ** -3, 0.0, np.inf)
-    den, _ = quad(lambda r: r**2 * (1.0 + r * r) ** -3, 0.0, np.inf)
-    sharp = (4.0 * math.pi * num) / (4.0 * math.pi * den) ** (1.0 / 3.0)
-    return 0.995 * sharp
+    return 0.995 * 3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0)
 
 
 def schrodinger_bound_constant(sobolev_c: float | None = None) -> float:

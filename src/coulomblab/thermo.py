@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .grafschenker import Simplex, SimplexTester, random_rotations
-from .liebthirring import cube_mode_energies_below
+from .grafschenker import Simplex, SimplexTester, random_rotations, regular_tetrahedron
+from .liebthirring import classical_lt_constant, cube_mode_energies_below
 
 __all__ = [
     "Domain",
@@ -210,19 +210,15 @@ def free_fermion_box_energy(side: float, mu: float, m: float) -> float:
 
 
 def free_fermion_energy_density(mu: float, m: float) -> float:
-    """Closed-form bulk density by momentum quadrature.
+    """Closed-form bulk density -C_lt m^(3/2) |mu|^(5/2).
 
-    (2 pi)^-3 int_{p^2/2m + mu < 0} (p^2/2m + mu) d^3p evaluated with a
-    fixed Gauss rule (the integrand is an even polynomial, so this is exact)
-    equals -(2^(5/2)/(30 pi^2)) m^(3/2) |mu|^(5/2).
+    (2 pi)^-3 int_{p^2/2m + mu < 0} (p^2/2m + mu) d^3p is the phase-space
+    energy of the constant potential V = |mu|, so its coefficient is the
+    Lieb-Thirring phase-space constant: -(2^(5/2)/(30 pi^2)) m^(3/2) |mu|^(5/2).
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
-    p_f = math.sqrt(-2.0 * m * mu)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    p = 0.5 * p_f * (nodes + 1.0)
-    vals = 4.0 * math.pi * p**2 * (p**2 / (2.0 * m) + mu)
-    return (2.0 * math.pi) ** (-3) * 0.5 * p_f * float(np.dot(weights, vals))
+    return -classical_lt_constant() * m**1.5 * (-mu) ** 2.5
 
 
 def rasterized_dirichlet_energy(
@@ -426,8 +422,6 @@ def axiom_check(
 
     # A5 subaverage by Monte Carlo over isometries
     if simplex is None:
-        from .grafschenker import regular_tetrahedron
-
         simplex = regular_tetrahedron()
     tester = SimplexTester(simplex, ell)
     margins = []

@@ -475,8 +475,8 @@ def test_criterion_12_relativistic_collapse():
     wide = narrow + [
         ins.TwoBodyTrialState("correlated", center_width=8.0, relative_width=1.0)
     ]
-    q_narrow = ins.critical_charge_upper_bound(narrow, scan, q_tol=1e-6)
-    q_wide = ins.critical_charge_upper_bound(wide, scan, q_tol=1e-6)
+    q_narrow = ins.critical_charge_upper_bound(narrow)
+    q_wide = ins.critical_charge_upper_bound(wide)
     from coulomblab.instability import _massless_minimum
 
     bracket_ok = (

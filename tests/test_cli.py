@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,36 @@ class TestCliContract:
         assert out.decode() == (
             '{"configs":2000,"pass":true,"seed":137,"violations":0}\n'
         )
+
+    def test_lt_box_bytes_across_blas_threads(self):
+        art = json.loads(self._stdout_across_blas_threads("lt-box"))
+        assert art["C_lt"] == pytest.approx(2.0**1.5 / (15.0 * math.pi**2), rel=1e-15)
+        assert art["pass"] is True
+
+    def test_stability_constant_bytes_across_blas_threads(self):
+        art = json.loads(self._stdout_across_blas_threads("stability-constant"))
+        assert art["pass"] is True and len(art["rows"]) == 12
+
+    def test_thermo_limit_bytes_across_blas_threads(self):
+        art = json.loads(self._stdout_across_blas_threads("thermo-limit"))
+        assert art["closed_form"] == pytest.approx(
+            -(2.0**2.5) / (30.0 * math.pi**2), rel=1e-15
+        )
+        assert art["pass"] is True
+
+    def test_rel_collapse_bytes_across_blas_threads(self):
+        art = json.loads(self._stdout_across_blas_threads("rel-collapse"))
+        # the correlated state (center width 8, relative width 1) sets the
+        # threshold 2 <|p|> / <1/r> = 2 sqrt(2) sqrt(1/512 + 1/2) = sqrt(257)/8
+        assert art["Q_upper"] == pytest.approx(math.sqrt(257.0) / 8.0, rel=1e-15)
+        assert art["pass"] is True
+
+    def test_sobolev_bytes_across_blas_threads(self):
+        art = json.loads(self._stdout_across_blas_threads("sobolev"))
+        assert art["constant"] == pytest.approx(
+            0.995 * 3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0), rel=1e-15
+        )
+        assert art["pass"] is True
 
     def test_thermo_limit_csv_schema(self, tmp_path):
         out = tmp_path / "thermo.csv"

@@ -94,25 +94,41 @@ class TestCriticalCharge:
 
     def test_bisection_bracket(self):
         scan = np.array([0.5, 1.0, 2.0])
-        q_up = critical_charge_upper_bound(self.family(), scan, q_tol=1e-6)
+        q_up = critical_charge_upper_bound(self.family())
         from coulomblab.instability import _massless_minimum
 
         assert _massless_minimum(self.family(), scan, q_up - 1e-5) >= 0.0
         assert _massless_minimum(self.family(), scan, q_up + 1e-5) < 0.0
 
     def test_wider_family_never_raises_threshold(self):
-        scan = np.array([0.5, 1.0, 2.0])
-        q_small = critical_charge_upper_bound(self.family()[:1], scan)
-        q_large = critical_charge_upper_bound(self.family(), scan)
+        q_small = critical_charge_upper_bound(self.family()[:1])
+        q_large = critical_charge_upper_bound(self.family())
         assert q_large <= q_small + 1e-9
 
     def test_separable_threshold_closed_form(self):
         # kinetic 2<|p|> and attraction <1/r> are both 1/width, so the
         # threshold equals their ratio 2 sqrt(2): width independent
-        q_up = critical_charge_upper_bound(
-            [TwoBodyTrialState("separable", width=1.0)], np.array([0.3, 1.0, 4.0])
-        )
-        assert q_up == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-5)
+        for width in (0.3, 1.0, 4.0):
+            state = TwoBodyTrialState("separable", width=width)
+            q_up = critical_charge_upper_bound([state])
+            assert q_up == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+
+    def test_threshold_zeroes_the_quadrature_energy(self):
+        # oracle: at the closed-form threshold the massless energy, with its
+        # kinetic term by momentum quadrature, vanishes for the optimal shape
+        q_up = critical_charge_upper_bound(self.family())
+        from coulomblab.instability import _massless_minimum
+
+        for w in (0.5, 1.0, 2.0):
+            state = self.family()[1].scaled(w)
+            kinetic = 2.0 * relativistic_kinetic_expectation(0.0, state.momentum_std())
+            assert _massless_minimum([state], [1.0], q_up) == pytest.approx(
+                0.0, abs=1e-12 * kinetic
+            )
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError):
+            critical_charge_upper_bound([])
 
     def test_energy_linear_in_q(self):
         t = TwoBodyTrialState("separable", width=1.3)

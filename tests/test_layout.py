@@ -21,6 +21,24 @@ def test_no_private_names_imported_from_sibling_modules():
     assert not offenders, offenders
 
 
+def test_no_module_imports_scipy_optimize():
+    # scipy.integrate loads scipy.optimize itself, so only the source can
+    # tell whether a module imports it
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names
+                          if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert not offenders, offenders
+
+
 def test_cli_import_leaves_scipy_stats_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from coulomblab.errors import InternalConsistencyError
 from coulomblab.liebthirring import (
     LtParameters,
     SpeciesSpec,
@@ -227,12 +226,26 @@ class TestStabilityConstant:
         with pytest.raises(ValueError):
             stability_constant(s, LtParameters(m=3.0), LtParameters(m=2.0))
 
-    def test_scan_edge_raises(self):
-        # an objective pushed to the edge must be flagged, not returned;
-        # huge charge shifts the minimizer beyond the grid
+    def test_huge_charge_matches_closed_form(self):
+        # at mu = 0 each species minimizes c1 x^2 - c2 x in x = n^(5/6), so
+        # the constant is -sum c2^2 / (4 c1) even far beyond any scan range
         s = SpeciesSpec(1.0, 1.0, 1e8, 1e8, 0.0)
-        with pytest.raises(InternalConsistencyError):
-            stability_constant(s, LtParameters(m=1.0), LtParameters(m=1.0))
+        p = LtParameters(m=1.0)
+        c1 = 0.6 * 0.4 ** (2.0 / 3.0) * (p.C_lt * p.nu) ** (-2.0 / 3.0) / (2.0 * p.m)
+        c2 = (p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
+              * s.Q_plus**5 * 6.0 * 5.0 ** (-5.0 / 6.0))
+        assert stability_constant(s, p, p) == pytest.approx(
+            -2.0 * c2**2 / (4.0 * c1), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("mu", [-3.0, -0.1, 10.0, 1e3])
+    def test_exact_root_never_above_coordinate_descent(self, mu):
+        s, pp, pm = self.spec(mu=mu)
+        f = _density_objective(s, pp, pm)
+        val = stability_constant(s, pp, pm)
+        cd = coordinate_descent(f)
+        assert val <= cd + 1e-13 * abs(cd)
+        assert val == pytest.approx(cd, abs=1e-8 * (1.0 + abs(cd)))
 
 
 class TestDirichletSums:

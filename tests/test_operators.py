@@ -118,6 +118,13 @@ class TestDiamagnetic:
         sharp = sobolev_test_constant() / 0.995
         assert sharp * 0.95 < mid / sob < sharp * 1.5
 
+    def test_sobolev_constant_matches_radial_quadrature(self):
+        # oracle: int |grad u|^2 and int u^6 of u = (1 + r^2)^(-1/2) by quad
+        num, _ = quad(lambda r: r**4 * (1.0 + r * r) ** -3, 0.0, np.inf)
+        den, _ = quad(lambda r: r**2 * (1.0 + r * r) ** -3, 0.0, np.inf)
+        sharp = (4.0 * math.pi * num) / (4.0 * math.pi * den) ** (1.0 / 3.0)
+        assert sobolev_test_constant() == pytest.approx(0.995 * sharp, rel=1e-12)
+
     def test_randomized_ordering_sweep(self):
         rng = np.random.default_rng(SEED)
         n = 32
