@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, TruncationError
-from .numerics import PsdMatrix, RadialGridFunction, gamma_fn, psd_sqrt
+from .numerics import PsdMatrix, RadialGridFunction, psd_sqrt
 from .report import EnergyReport
 
 __all__ = [
@@ -121,6 +121,13 @@ def _apply(op: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    # einsum's own loop, not a BLAS dot: a threaded dot splits the sum by
+    # thread count, which would make the artifact depend on the machine
+    axes = "abcdefgh"[: x.ndim]
+    return float(np.einsum(f"{axes},{axes}->", x, y))
+
+
 @dataclass
 class FockMomentReport:
     """Truncated-Fock moments next to their closed forms.
@@ -213,15 +220,15 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     four_point = np.empty((n_axes, n_axes))
     for i in range(n_axes):
         for j in range(n_axes):
-            two_point[i, j] = float(np.tensordot(b_states[i], b_states[j], n_axes))
+            two_point[i, j] = _inner(b_states[i], b_states[j])
             bj_dag = _apply(a_op.T, state, j)
             if j == 0:
                 bj_dag = bj_dag - sqrt_n * state
-            pairing[i, j] = float(np.tensordot(b_states[i], bj_dag, n_axes))
+            pairing[i, j] = _inner(b_states[i], bj_dag)
             bji = _apply(a_op, b_states[i], j)
             if j == 0:
                 bji = bji - sqrt_n * b_states[i]
-            four_point[i, j] = float(np.tensordot(bji, bji, n_axes))
+            four_point[i, j] = _inner(bji, bji)
 
     lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
     gam = lam**2 / (1.0 - lam**2)
@@ -234,13 +241,13 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     # number statistics: condensate mode alone and the total over all modes
     num_diag = np.diag(np.arange(truncation + 1, dtype=float))
     n0_state = _apply(num_diag, state, 0)
-    cond_mean = float(np.tensordot(state, n0_state, n_axes))
-    cond_second = float(np.tensordot(n0_state, n0_state, n_axes))
+    cond_mean = _inner(state, n0_state)
+    cond_second = _inner(n0_state, n0_state)
     n_state = np.zeros_like(state)
     for k in range(n_axes):
         n_state += _apply(num_diag, state, k)
-    tot_mean = float(np.tensordot(state, n_state, n_axes))
-    tot_second = float(np.tensordot(n_state, n_state, n_axes))
+    tot_mean = _inner(state, n_state)
+    tot_second = _inner(n_state, n_state)
 
     big_n = s.mean_condensate_number
     return FockMomentReport(
@@ -488,7 +495,7 @@ def compute_I0() -> tuple[float, float]:
     # integrand = 1/(2x^4) - 1/(2x^8) + O(x^-12) beyond the break
     tail = 0.5 / (3.0 * x_break**3) - 0.5 / (7.0 * x_break**7)
     quadrature = (2.0 / math.pi) ** 0.75 * (core + tail)
-    closed = 4.0**1.25 * gamma_fn(0.75) / (5.0 * math.pi**0.25 * gamma_fn(1.25))
+    closed = 4.0**1.25 * math.gamma(0.75) / (5.0 * math.pi**0.25 * math.gamma(1.25))
     return quadrature, closed
 
 

@@ -1,8 +1,8 @@
 """Shared numerical substrate.
 
 Radial grids and grid functions, discrete Legendre transforms, radial Fourier
-transforms with analytic power-law tails, PSD matrix functions and the Euler
-gamma function.  Everything here is a pure function of its inputs.
+transforms with analytic power-law tails and PSD matrix functions.  Everything
+here is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ __all__ = [
     "legendre_transform",
     "radial_fourier_transform",
     "psd_sqrt",
-    "gamma_fn",
 ]
 
 
@@ -262,14 +261,3 @@ def psd_sqrt(m: PsdMatrix) -> PsdMatrix:
     w = np.where(w < 0.0, 0.0, w)
     root = (u * np.sqrt(w)) @ u.T
     return PsdMatrix(0.5 * (root + root.T), min_eig_tolerance=m.min_eig_tolerance)
-
-
-def gamma_fn(x: float) -> float:
-    """Euler gamma for x > 0.
-
-    Delegates to the C library Lanczos evaluation, which is well below the
-    1e-12 relative error budget on the domain used here.
-    """
-    if not x > 0:
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)

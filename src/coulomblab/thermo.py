@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grafschenker import Simplex, SimplexTester, random_rotations, regular_tetrahedron
 from .liebthirring import classical_lt_constant, cube_mode_energies_below
@@ -221,8 +221,35 @@ def free_fermion_energy_density(mu: float, m: float) -> float:
     return -classical_lt_constant() * m**1.5 * (-mu) ** 2.5
 
 
+def _symmetric_lu(a: sp.csc_matrix):
+    """SuperLU factors of a symmetric matrix, in effect an LDL^T.
+
+    The minimum-degree ordering of A^T + A is applied to rows and columns
+    alike and every pivot is taken on the diagonal, so U's diagonal holds
+    the pivots D of P A P^T = L D L^T.
+    """
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _modes_below(ham: sp.csc_matrix, threshold: float) -> int:
+    """Eigenvalues of ham below threshold, by Sylvester's law of inertia.
+
+    The count is the number of negative pivots of ham - threshold I.  Without
+    pivoting for stability it can miscount, so it only sizes the eigensolve.
+    When threshold is an eigenvalue and a pivot vanishes exactly, the count
+    falls back to 0 and the eigensolve's retry finds the size.
+    """
+    shifted = ham - threshold * sp.identity(ham.shape[0], format="csc")
+    try:
+        pivots = _symmetric_lu(shifted).U.diagonal()
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return 0
+    return int(np.count_nonzero(pivots < 0.0))
+
+
 def rasterized_dirichlet_energy(
-    domain: Domain, mu: float, m: float, h: float, k_start: int = 32
+    domain: Domain, mu: float, m: float, h: float
 ) -> float:
     """Free fermion energy on the lattice rasterization of a domain.
 
@@ -231,6 +258,14 @@ def rasterized_dirichlet_energy(
     makes integer translates raster identically) and fills every mode below
     -mu.  Biased at O(h) by the staircase boundary; used only for
     shape-independence checks, never as the exact box path.
+
+    The inertia of H + mu I counts the filled modes, and one shift-invert
+    ``eigsh`` call with k = count + 4 finds them, reusing a single
+    factorization of H.  The count only sizes k: the energy sums the modes
+    ``eigsh`` returns, and k doubles until the highest of them reaches -mu.
+    When k would reach the number of sites, a dense solve takes every mode.
+    ARPACK starts from a seeded vector, so the result is a pure function of
+    the arguments.
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
@@ -278,18 +313,19 @@ def rasterized_dirichlet_energy(
     ham = lap * (1.0 / (2.0 * m))
 
     threshold = -mu
-    k = min(k_start, n_sites - 1)
-    if k < 1:
-        # a handful of sites: dense solve
-        w = np.linalg.eigvalsh(ham.toarray())
-        filled = w[w < threshold]
-        return float(np.sum(filled + mu))
-    while True:
-        w = eigsh(ham, k=k, sigma=0.0, which="LM", return_eigenvectors=False)
-        w = np.sort(w)
-        if w.max() >= threshold or k >= n_sites - 1:
+    k = _modes_below(ham, threshold) + 4
+    solve = LinearOperator(ham.shape, matvec=_symmetric_lu(ham).solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n_sites)
+    while k < n_sites - 1:
+        w = eigsh(ham, k=k, sigma=0.0, which="LM", OPinv=solve, v0=v0,
+                  return_eigenvectors=False)
+        if w.max() >= threshold:
             break
-        k = min(2 * k, n_sites - 1)
+        k *= 2
+    else:
+        # every mode may be filled: eigsh cannot return all n_sites of them
+        w = np.linalg.eigvalsh(ham.toarray())
+    w = np.sort(w)
     filled = w[w < threshold]
     return float(np.sum(filled + mu))
 

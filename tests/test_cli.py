@@ -147,9 +147,9 @@ class TestCliContract:
         assert err["subcommand"] == "dyson-solve"
 
     @staticmethod
-    def _stdout_across_blas_threads(subcommand):
+    def _stdout_across_blas_threads(subcommand, status=0):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
+        runs = []
         for threads in ("2", "2", "1"):
             env = {k: v for k, v in os.environ.items()
                    if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -159,11 +159,12 @@ class TestCliContract:
             )
             proc = subprocess.run(
                 [sys.executable, "-m", "coulomblab.cli", subcommand],
-                env=env, capture_output=True, check=True,
+                env=env, capture_output=True,
             )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] == outputs[2]
-        return outputs[0]
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == status, proc.stderr.decode()
+        return runs[0][1]
 
     def test_dyson_solve_bytes_across_blas_threads(self):
         out = self._stdout_across_blas_threads("dyson-solve")
@@ -203,6 +204,20 @@ class TestCliContract:
         assert art["constant"] == pytest.approx(
             0.995 * 3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0), rel=1e-15
         )
+        assert art["pass"] is True
+
+    def test_i0_bytes_and_status_across_blas_threads(self):
+        # exit status 1 by design: the published form is 2x the integral
+        art = json.loads(self._stdout_across_blas_threads("i0", status=1))
+        assert art["rel_diff"] == pytest.approx(0.5, abs=1e-9)
+        assert art["pass"] is False
+
+    @pytest.mark.parametrize("subcommand", [
+        "dyson-pipeline", "fock-oracle", "graf-schenker", "fermi-collapse",
+        "lichnerowicz", "legendre",
+    ])
+    def test_passing_subcommand_bytes_across_blas_threads(self, subcommand):
+        art = json.loads(self._stdout_across_blas_threads(subcommand))
         assert art["pass"] is True
 
     def test_thermo_limit_csv_schema(self, tmp_path):

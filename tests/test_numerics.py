@@ -8,7 +8,6 @@ from coulomblab.numerics import (
     KineticProfile,
     PsdMatrix,
     RadialGridFunction,
-    gamma_fn,
     geometric_radial_grid,
     legendre_transform,
     psd_sqrt,
@@ -169,22 +168,3 @@ class TestPsdSqrt:
     def test_genuinely_negative_rejected(self):
         with pytest.raises(NotPsdError):
             PsdMatrix(np.diag([1.0, -0.5]))
-
-
-class TestGammaFn:
-    @pytest.mark.parametrize(
-        "x,expected",
-        [(1.0, 1.0), (0.5, math.sqrt(math.pi)), (5.0, 24.0)],
-    )
-    def test_known_values(self, x, expected):
-        assert gamma_fn(x) == pytest.approx(expected, rel=1e-13)
-
-    def test_recurrence(self):
-        for x in np.linspace(0.1, 10.0, 67):
-            assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-2.5)

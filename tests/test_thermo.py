@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomblab import thermo
 from coulomblab.grafschenker import regular_tetrahedron
 from coulomblab.thermo import (
     AxiomCheckResult,
@@ -36,6 +37,15 @@ def brute_force_box_energy(side, mu, m, cap=40):
                 if e + mu < 0:
                     total += e + mu
     return total
+
+
+def lattice_box_spectrum(side, h, m):
+    """7-point Dirichlet spectrum of the box raster, from the 1-D spectrum."""
+    n = max(math.ceil(side / h), 1)
+    step = side / n
+    one_d = (2.0 / step**2) * (1.0 - np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
+    modes = one_d[:, None, None] + one_d[None, :, None] + one_d[None, None, :]
+    return np.sort(modes.ravel()) / (2.0 * m)
 
 
 class TestDomains:
@@ -127,6 +137,67 @@ class TestCornerSimplex:
             est = rasterized_dirichlet_energy(dom, mu, 1.0, h=h)
             errs.append(abs(est - exact))
         assert errs[1] < errs[0]
+
+
+class TestRasterEigensolve:
+    # side 7, h = 0.5: 14^3 = 2,744 sites, more than 100 modes below 3.75
+    MANY = (7.0, -3.75, 1.0, 0.5)
+
+    def test_all_modes_filled(self):
+        # 2 x 2 x 2 sites, all eight modes below -mu
+        w = lattice_box_spectrum(1.0, 0.5, 1.0)
+        assert w.size == 8 and w.max() < 1000.0
+        got = rasterized_dirichlet_energy(BoxDomain(1.0), -1000.0, 1.0, 0.5)
+        assert got == pytest.approx(float(np.sum(w - 1000.0)), rel=1e-14)
+
+    def test_threshold_on_an_eigenvalue(self):
+        # -mu = 10 is a triply degenerate eigenvalue of the 2 x 2 x 2 raster,
+        # so H + mu I is singular; only the mode at 6 is filled
+        w = lattice_box_spectrum(1.0, 0.5, 1.0)
+        assert np.count_nonzero(np.isclose(w, 10.0, rtol=1e-14)) == 3
+        got = rasterized_dirichlet_energy(BoxDomain(1.0), -10.0, 1.0, 0.5)
+        assert got == pytest.approx(-4.0, rel=1e-12)
+
+    def test_inertia_count_sizes_a_single_eigsh_call(self, monkeypatch):
+        side, mu, m, h = self.MANY
+        counts, ks = [], []
+        count_modes, eigsh = thermo._modes_below, thermo.eigsh
+
+        def spy_count(ham, threshold):
+            counts.append(count_modes(ham, threshold))
+            return counts[-1]
+
+        def spy_eigsh(*args, **kwargs):
+            ks.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "_modes_below", spy_count)
+        monkeypatch.setattr(thermo, "eigsh", spy_eigsh)
+        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
+        w = lattice_box_spectrum(side, h, m)
+        filled = w[w < -mu]
+        assert filled.size > 100
+        assert counts == [filled.size]
+        assert ks == [filled.size + 4]
+        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
+
+    @pytest.mark.parametrize("shrink", [lambda c: 0, lambda c: c // 2],
+                             ids=["zero", "half"])
+    def test_undercount_recovered_by_retry(self, monkeypatch, shrink):
+        side, mu, m, h = self.MANY
+        honest = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
+        count_modes = thermo._modes_below
+        monkeypatch.setattr(thermo, "_modes_below",
+                            lambda ham, threshold: shrink(count_modes(ham, threshold)))
+        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
+        w = lattice_box_spectrum(side, h, m)
+        assert got == pytest.approx(float(np.sum(w[w < -mu] + mu)), rel=1e-12)
+        assert got == pytest.approx(honest, rel=1e-12)
+
+    def test_repeated_calls_are_bit_identical(self):
+        dom = SimplexDomain(corner_tetrahedron(), ell=10.0)
+        first = rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
+        assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
 
 
 class TestExtrapolation:
