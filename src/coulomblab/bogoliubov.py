@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, TruncationError
 from .numerics import PsdMatrix, RadialGridFunction, psd_sqrt
@@ -50,15 +49,14 @@ LAMBDA_MAX = 1.0 - 1e-6
 class PairExcitationSpec:
     """Squeezing parameters of the pair modes plus the condensate amplitude.
 
-    The condensate occupies its own mode, orthogonal to every pair mode
-    (recorded in ``mode_frame``); ``condensate_amplitude`` is sqrt(N).
+    The condensate occupies its own mode, orthogonal to every pair mode;
+    ``condensate_amplitude`` is sqrt(N).
     lambda = 0 is allowed (no squeezing in that mode); values at or above
     1 - 1e-6 are rejected since the occupation diverges at lambda -> 1.
     """
 
     lambdas: tuple[float, ...]
     condensate_amplitude: float
-    mode_frame: str = "condensate orthogonal to pair modes"
 
     def __post_init__(self):
         self.lambdas = tuple(float(l) for l in self.lambdas)
@@ -87,14 +85,11 @@ def gamma_from_spec(s: PairExcitationSpec) -> PsdMatrix:
 
 def _coherent_vector(sqrt_n: float, cutoff: int) -> np.ndarray:
     """Occupation amplitudes exp(-N/2) N^(n/2)/sqrt(n!) up to the cutoff."""
-    n = np.arange(cutoff + 1, dtype=float)
-    if sqrt_n == 0.0:
-        v = np.zeros(cutoff + 1)
-        v[0] = 1.0
-        return v
-    big_n = sqrt_n**2
-    log_amp = -0.5 * big_n + 0.5 * n * math.log(big_n) - 0.5 * gammaln(n + 1.0)
-    return np.exp(log_amp)
+    v = np.empty(cutoff + 1)
+    v[0] = math.exp(-0.5 * sqrt_n * sqrt_n)
+    for n in range(1, cutoff + 1):
+        v[n] = v[n - 1] * sqrt_n / math.sqrt(n)
+    return v
 
 
 def _squeezed_vector(lam: float, cutoff: int) -> np.ndarray:
@@ -109,23 +104,37 @@ def _squeezed_vector(lam: float, cutoff: int) -> np.ndarray:
     return v
 
 
-def _annihilation(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff + 1, cutoff + 1))
-    idx = np.arange(1, cutoff + 1)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a
+def _lowered(v: np.ndarray, shift: float) -> np.ndarray:
+    """(a - shift) v with the annihilator truncated to the levels of v."""
+    out = -shift * v
+    out[:-1] += np.sqrt(np.arange(1.0, v.size)) * v[1:]
+    return out
 
 
-def _apply(op: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(op, state, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _raised(v: np.ndarray, shift: float) -> np.ndarray:
+    """(a* - shift) v, dropping the level one above the cutoff."""
+    out = -shift * v
+    out[1:] += np.sqrt(np.arange(1.0, v.size)) * v[:-1]
+    return out
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> float:
-    # einsum's own loop, not a BLAS dot: a threaded dot splits the sum by
-    # thread count, which would make the artifact depend on the machine
-    axes = "abcdefgh"[: x.ndim]
-    return float(np.einsum(f"{axes},{axes}->", x, y))
+def _mode_moments(v: np.ndarray, shift: float) -> np.ndarray:
+    """<b>, <b*b>, <b*b*>, <b*^2 b^2>, <n> and <n^2> of one normalized mode.
+
+    b = a - shift.  Inner products are elementwise sums rather than a BLAS
+    dot, whose summation order could depend on the thread count.
+    """
+    bv = _lowered(v, shift)
+    nv = np.arange(v.size) * v
+    bbv = _lowered(bv, shift)
+    return np.array([
+        (v * bv).sum(),
+        (bv * bv).sum(),
+        (bv * _raised(v, shift)).sum(),
+        (bbv * bbv).sum(),
+        (v * nv).sum(),
+        (nv * nv).sum(),
+    ])
 
 
 @dataclass
@@ -181,54 +190,37 @@ class FockMomentReport:
 def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport:
     """Exact moments of the displaced-squeezed state in a truncated basis.
 
-    Builds the state explicitly as coherent(condensate) x squeezed(pairs),
-    applies ladder operators mode by mode, and reports every moment next to
-    its closed form.  Raises TruncationError when the truncated state has a
-    norm deficit above 1e-8.
+    The state is the product coherent(condensate) x squeezed(pairs), so each
+    moment is a product of one-mode expectations, taken with explicitly
+    truncated ladder operators on one vector per mode.  Every moment is
+    reported next to its closed form.  Raises TruncationError when the
+    truncated state has a norm deficit above 1e-8.
     """
-    if s.n_modes > 3:
-        raise ValueError("oracle limited to at most 3 pair modes")
     if truncation < 30:
         raise ValueError("truncation must be at least 30")
 
     vectors = [_coherent_vector(s.condensate_amplitude, truncation)]
     vectors += [_squeezed_vector(lam, truncation) for lam in s.lambdas]
-    state = vectors[0]
-    for v in vectors[1:]:
-        state = np.multiply.outer(state, v)
-
-    norm2 = float((state**2).sum())
-    deficit = abs(1.0 - norm2)
+    norms2 = [float((v * v).sum()) for v in vectors]
+    deficit = abs(1.0 - math.prod(norms2))
     if deficit > 1e-8:
         raise TruncationError(f"norm deficit {deficit:.3e} exceeds 1e-8")
-    state = state / math.sqrt(norm2)
 
-    n_axes = s.n_modes + 1
-    a_op = _annihilation(truncation)
-    sqrt_n = s.condensate_amplitude
-
-    # b_k |state>, with b_0 = a_0 - sqrt(N), b_k = a_k otherwise
-    b_states = []
-    for k in range(n_axes):
-        bk = _apply(a_op, state, k)
-        if k == 0:
-            bk = bk - sqrt_n * state
-        b_states.append(bk)
-
-    two_point = np.empty((n_axes, n_axes))
-    pairing = np.empty((n_axes, n_axes))
-    four_point = np.empty((n_axes, n_axes))
-    for i in range(n_axes):
-        for j in range(n_axes):
-            two_point[i, j] = _inner(b_states[i], b_states[j])
-            bj_dag = _apply(a_op.T, state, j)
-            if j == 0:
-                bj_dag = bj_dag - sqrt_n * state
-            pairing[i, j] = _inner(b_states[i], bj_dag)
-            bji = _apply(a_op, b_states[i], j)
-            if j == 0:
-                bji = bji - sqrt_n * b_states[i]
-            four_point[i, j] = _inner(bji, bji)
+    # b_0 = a_0 - sqrt(N) on the condensate, b_k = a_k on the pair modes
+    shifts = [s.condensate_amplitude] + [0.0] * s.n_modes
+    mean_b, b_dag_b, pair, four, n_mean, n_second = np.array([
+        _mode_moments(v / math.sqrt(n2), shift)
+        for v, n2, shift in zip(vectors, norms2, shifts)
+    ]).T
+    # distinct modes factorize: <b_i* b_j> = <b_i* b_j*> = <b_i><b_j> (real
+    # amplitudes) and <b_i* b_j* b_j b_i> = <b_i* b_i><b_j* b_j>
+    two_point = np.outer(mean_b, mean_b)
+    np.fill_diagonal(two_point, b_dag_b)
+    pairing = np.outer(mean_b, mean_b)
+    np.fill_diagonal(pairing, pair)
+    four_point = np.outer(b_dag_b, b_dag_b)
+    np.fill_diagonal(four_point, four)
+    n_variance = n_second - n_mean**2
 
     lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
     gam = lam**2 / (1.0 - lam**2)
@@ -237,17 +229,6 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     four_closed = (
         pairing_closed**2 + gamma_closed**2 + np.outer(gam, gam)
     )
-
-    # number statistics: condensate mode alone and the total over all modes
-    num_diag = np.diag(np.arange(truncation + 1, dtype=float))
-    n0_state = _apply(num_diag, state, 0)
-    cond_mean = _inner(state, n0_state)
-    cond_second = _inner(n0_state, n0_state)
-    n_state = np.zeros_like(state)
-    for k in range(n_axes):
-        n_state += _apply(num_diag, state, k)
-    tot_mean = _inner(state, n_state)
-    tot_second = _inner(n_state, n_state)
 
     big_n = s.mean_condensate_number
     return FockMomentReport(
@@ -258,10 +239,10 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
         gamma_closed=gamma_closed,
         pairing_closed=pairing_closed,
         four_point_closed=four_closed,
-        condensate_number_mean=cond_mean,
-        condensate_number_variance=cond_second - cond_mean**2,
-        total_number_mean=tot_mean,
-        total_number_variance=tot_second - tot_mean**2,
+        condensate_number_mean=float(n_mean[0]),
+        condensate_number_variance=float(n_variance[0]),
+        total_number_mean=float(n_mean.sum()),
+        total_number_variance=float(n_variance.sum()),
         expected_total_mean=big_n + float(gam.sum()),
         expected_total_variance=big_n + float((2.0 * gam * (gam + 1.0)).sum()),
         n_condensate=big_n,

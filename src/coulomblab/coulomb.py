@@ -46,13 +46,21 @@ _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
+def _distance_matrix(positions: np.ndarray) -> np.ndarray:
+    diff = positions[:, None, :] - positions[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=-1))
+    d.flags.writeable = False
+    return d
+
+
 @dataclass
 class ChargeConfiguration:
     """Signed point charges in 3-space with species tags.
 
     Species labels are "plus" or "minus" and must match the sign of the
     charge.  Positions closer than 1e-12 times the configuration diameter
-    are rejected because 1/r blows up.
+    are rejected because 1/r blows up.  Positions are copied and frozen, so
+    the pair-distance matrix is built once, here, and shared read-only.
     """
 
     positions: np.ndarray
@@ -60,7 +68,8 @@ class ChargeConfiguration:
     species: tuple[str, ...]
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        self.positions = np.array(self.positions, dtype=float).reshape(-1, 3)
+        self.positions.flags.writeable = False
         self.charges = np.asarray(self.charges, dtype=float).reshape(-1)
         self.species = tuple(self.species)
         n = len(self.charges)
@@ -76,11 +85,10 @@ class ChargeConfiguration:
             if not known[i]:
                 raise ValueError(f"unknown species label {self.species[i]!r}")
             raise ValueError("charge sign does not match species label")
+        self._distances = _distance_matrix(self.positions)
         if n >= 2:
-            d = self.pair_distances()
-            diam = float(d.max())
-            np.fill_diagonal(d, np.inf)
-            dmin = float(d.min())
+            diam = float(self._distances.max())
+            dmin = float(np.where(np.eye(n, dtype=bool), np.inf, self._distances).min())
             if dmin <= COINCIDENCE_REL_TOL * max(diam, 1.0):
                 raise CoincidentChargesError(
                     f"minimal separation {dmin:.3e} below coincidence tolerance"
@@ -90,8 +98,8 @@ class ChargeConfiguration:
         return len(self.charges)
 
     def pair_distances(self) -> np.ndarray:
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1))
+        """|r_i - r_j| for all i, j; read-only."""
+        return self._distances
 
     @property
     def diameter(self) -> float:
@@ -320,7 +328,7 @@ def smeared_pair_interactions(
     return 3.0 / (a_j * a_j * a_j) * (piece[..., 0] + piece[..., 1])
 
 
-def onsager_lower_bound(c: ChargeConfiguration, seed: int | None = None) -> EnergyReport:
+def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
     """Three-step chain bounding the exact Coulomb energy from below.
 
     (i)   smeared_interaction: the full smeared energy
@@ -379,7 +387,7 @@ def onsager_lower_bound(c: ChargeConfiguration, seed: int | None = None) -> Ener
             "exact_ge_final": bool(exact >= final_bound - slack),
             "exact_ge_stronger_bound": bool(exact >= stronger_bound - slack),
         },
-        provenance={"n_particles": n, "seed": seed},
+        provenance={"n_particles": n},
     )
 
 

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 BARYCENTRIC_SLACK = 1e-12
+# isometries drawn per batch; the batch sizes fix how the random streams are
+# consumed, so changing them changes every estimate
+_KERNEL_CHUNK = 65536
+_SLIDING_CHUNK = 32768
 
 
 @dataclass
@@ -161,7 +165,6 @@ def overlap_kernel(
     ell: float,
     samples: int,
     seed=0,
-    chunk: int = 65536,
 ) -> tuple[float, float]:
     """Normalized overlap measure estimate with its standard error.
 
@@ -182,7 +185,7 @@ def overlap_kernel(
     hits = 0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_KERNEL_CHUNK, samples - done)
         rots = random_rotations(rng, m)
         trans = rng.uniform(lo, hi, size=(m, 3))
         # map the two points into the reference placement: R^T (p - t)
@@ -334,7 +337,6 @@ def sliding_inequality_experiment(
     ell_list: np.ndarray,
     samples: int,
     seed: int = 0,
-    chunk: int = 32768,
 ) -> SlidingReport:
     """Averaged restricted Coulomb sums and the normalized defect D(l).
 
@@ -347,10 +349,9 @@ def sliding_inequality_experiment(
     exact = exact_coulomb_energy(c)
     sum_q2 = float(np.sum(c.charges**2))
     n = len(c)
-    d = c.pair_distances()
-    np.fill_diagonal(d, np.inf)
+    # an infinite diagonal distance zeros the self terms
+    d = np.where(np.eye(n, dtype=bool), np.inf, c.pair_distances())
     pair_matrix = np.outer(c.charges, c.charges) / d
-    np.fill_diagonal(pair_matrix, 0.0)
 
     rows = []
     for idx, ell in enumerate(np.asarray(ell_list, dtype=float)):
@@ -363,7 +364,7 @@ def sliding_inequality_experiment(
         total_sq = 0.0
         done = 0
         while done < samples:
-            m = min(chunk, samples - done)
+            m = min(_SLIDING_CHUNK, samples - done)
             rots = random_rotations(rng, m)
             trans = rng.uniform(lo, hi, size=(m, 3))
             rel = c.positions[None, :, :] - trans[:, None, :]

@@ -1,7 +1,7 @@
 """Shared numerical substrate.
 
 Radial grids and grid functions, discrete Legendre transforms, radial Fourier
-transforms with analytic power-law tails and PSD matrix functions.  Everything
+transforms with an analytic 1/r tail and PSD matrix functions.  Everything
 here is a pure function of its inputs.
 """
 from __future__ import annotations
@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
@@ -196,32 +195,18 @@ def legendre_transform(
     return float(max(yv, g[i]))
 
 
-def _power_tail_sin_integral(a: float, k: float, r0: float) -> float:
-    """Abel-regularized integral of r^a * sin(k r) over [r0, inf), a <= 0.
-
-    Rotating the contour to the negative imaginary axis expresses it through
-    the upper incomplete gamma function at complex argument:
-    Im[ (-i k)^(-(a+1)) * Gamma(a+1, -i k r0) ].
-    """
-    if a > 0:
-        raise TailError("oscillatory power tail needs exponent a <= 0")
-    z = mpmath.mpc(0.0, -k * r0)
-    val = mpmath.power(mpmath.mpc(0.0, -k), -(a + 1)) * mpmath.gammainc(a + 1, z)
-    return float(mpmath.im(val))
-
-
 def radial_fourier_transform(f: RadialGridFunction, k: float) -> float:
     """3-d Fourier transform of a radial profile at radial frequency k.
 
     Computes (4 pi / k) * int_0^inf r sin(k r) f(r) dr with adaptive
-    quadrature on the sampled range and the declared power-law tail
-    integrated analytically.  A power tail r^s is accepted for s <= -1
-    (the s = -1 boundary case in the Abel-regularized sense).
+    quadrature on the sampled range.  The tail must be absent or the Coulomb
+    tail c/r; its part c int_{r0}^inf sin(k r) dr is cos(k r0) c / k in the
+    Abel-regularized sense.  Any other power tail raises TailError.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if f.tail_exponent is not None and f.tail_exponent > -1:
-        raise TailError("tail exponent must be <= -1 for the radial transform")
+    if f.tail_exponent not in (None, -1.0):
+        raise TailError("the radial transform takes no tail or the 1/r tail")
 
     r_last = float(f.nodes[-1])
     spline = f._spline
@@ -244,9 +229,7 @@ def radial_fourier_transform(f: RadialGridFunction, k: float) -> float:
 
     tail = 0.0
     if f.tail_exponent is not None:
-        s = f.tail_exponent
-        c = f.values[-1] / r_last**s
-        tail = c * _power_tail_sin_integral(1.0 + s, k, r_last)
+        tail = f.values[-1] * r_last * math.cos(k * r_last) / k
 
     return 4.0 * math.pi / k * (core + tail)
 

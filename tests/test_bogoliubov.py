@@ -38,6 +38,85 @@ class TestGammaFromSpec:
             PairExcitationSpec((1.0 - 1e-9,), 0.0)
 
 
+def _tensor_route(s: PairExcitationSpec, truncation: int = 40) -> dict:
+    """Every FockMomentReport moment from the explicit product-state tensor.
+
+    Builds coherent(condensate) x squeezed(pairs) with (truncation+1)^(modes+1)
+    entries from closed-form amplitudes, applies truncated ladder matrices
+    axis by axis and takes full contractions: the route that the one-mode
+    factorization of fock_oracle replaces.
+    """
+    levels = np.arange(truncation + 1)
+    log_fact = np.array([math.lgamma(n + 1.0) for n in levels])
+    big_n = s.condensate_amplitude**2
+    vectors = [np.exp(-0.5 * big_n + 0.5 * levels * math.log(big_n) - 0.5 * log_fact)
+               if big_n > 0 else (levels == 0).astype(float)]
+    for lam in s.lambdas:
+        v = np.zeros(truncation + 1)
+        even = levels[::2] // 2
+        # <2n|squeezed> = (1-lam^2)^(1/4) (-lam/2)^n sqrt((2n)!) / n!
+        v[::2] = ((1.0 - lam * lam) ** 0.25 * (-lam / 2.0) ** even
+                  * np.exp(0.5 * log_fact[::2] - log_fact[even]))
+        vectors.append(v)
+    state = vectors[0]
+    for v in vectors[1:]:
+        state = np.multiply.outer(state, v)
+    norm2 = float((state**2).sum())
+    state = state / math.sqrt(norm2)
+
+    n_axes = s.n_modes + 1
+    a_op = np.diag(np.sqrt(levels[1:].astype(float)), k=1)
+    num = np.diag(levels.astype(float))
+
+    def apply(op, x, axis, shift=0.0):
+        out = np.moveaxis(np.tensordot(op, x, axes=(1, axis)), 0, axis)
+        return out - shift * x
+
+    def inner(x, y):
+        return float((x * y).sum())
+
+    shift = [s.condensate_amplitude] + [0.0] * s.n_modes
+    b = [apply(a_op, state, k, shift[k]) for k in range(n_axes)]
+    b_dag = [apply(a_op.T, state, k, shift[k]) for k in range(n_axes)]
+    two_point = np.empty((n_axes, n_axes))
+    pairing = np.empty((n_axes, n_axes))
+    four_point = np.empty((n_axes, n_axes))
+    for i in range(n_axes):
+        for j in range(n_axes):
+            two_point[i, j] = inner(b[i], b[j])
+            pairing[i, j] = inner(b[i], b_dag[j])
+            bji = apply(a_op, b[i], j, shift[j])
+            four_point[i, j] = inner(bji, bji)
+    n0 = apply(num, state, 0)
+    n_tot = sum(apply(num, state, k) for k in range(n_axes))
+    cond_mean, tot_mean = inner(state, n0), inner(state, n_tot)
+    return {
+        "norm_deficit": abs(1.0 - norm2),
+        "centered_two_point": two_point,
+        "centered_pairing": pairing,
+        "centered_four_point": four_point,
+        "condensate_number_mean": cond_mean,
+        "condensate_number_variance": inner(n0, n0) - cond_mean**2,
+        "total_number_mean": tot_mean,
+        "total_number_variance": inner(n_tot, n_tot) - tot_mean**2,
+    }
+
+
+def _closed_forms(s: PairExcitationSpec) -> dict:
+    lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
+    gam = lam**2 / (1.0 - lam**2)
+    pair = np.sqrt(gam * (gam + 1.0))
+    big_n = s.condensate_amplitude**2
+    return {
+        "gamma_closed": np.diag(gam),
+        "pairing_closed": -np.diag(pair),
+        "four_point_closed": np.diag(pair**2 + gam**2) + np.outer(gam, gam),
+        "expected_total_mean": big_n + gam.sum(),
+        "expected_total_variance": big_n + (2.0 * gam * (gam + 1.0)).sum(),
+        "n_condensate": big_n,
+    }
+
+
 class TestFockOracle:
     def test_pure_condensate_statistics(self):
         rep = fock_oracle(PairExcitationSpec((0.0,), condensate_amplitude=2.0))
@@ -69,15 +148,45 @@ class TestFockOracle:
             assert rep.norm_deficit < 1e-8
             assert rep.max_error < 1e-7
 
+    @pytest.mark.parametrize("n_modes, count", [(1, 6), (2, 4), (3, 2)])
+    def test_matches_tensor_route(self, n_modes, count):
+        rng = np.random.default_rng(700 + n_modes)
+        for _ in range(count):
+            spec = PairExcitationSpec(
+                tuple(rng.uniform(0.0, 0.55, size=n_modes)),
+                condensate_amplitude=float(np.sqrt(rng.uniform(0.0, 8.0))),
+            )
+            rep = fock_oracle(spec, truncation=40)
+            want = _tensor_route(spec, truncation=40) | _closed_forms(spec)
+            assert set(want) == set(vars(rep))
+            for name, value in want.items():
+                got = getattr(rep, name)
+                assert np.shape(got) == np.shape(value), name
+                assert np.abs(got - value).max() <= 1e-12, name
+
+    def test_six_modes_match_closed_forms(self):
+        # truncation at 40 levels costs up to ~3e-9 at lambda = 0.55, well
+        # inside the 1e-7 that the fock-oracle subcommand accepts
+        spec = PairExcitationSpec((0.0, 0.1, 0.25, 0.4, 0.5, 0.55), math.sqrt(6.0))
+        rep = fock_oracle(spec, truncation=40)
+        want = _closed_forms(spec)
+        assert rep.centered_two_point.shape == (7, 7)
+        assert rep.norm_deficit < 1e-8
+        for got, name in ((rep.centered_two_point, "gamma_closed"),
+                          (rep.centered_pairing, "pairing_closed"),
+                          (rep.centered_four_point, "four_point_closed"),
+                          (rep.condensate_number_mean, "n_condensate"),
+                          (rep.condensate_number_variance, "n_condensate"),
+                          (rep.total_number_mean, "expected_total_mean"),
+                          (rep.total_number_variance, "expected_total_variance")):
+            assert np.abs(got - want[name]).max() < 1e-7, name
+        assert rep.max_error < 1e-7
+
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             fock_oracle(
                 PairExcitationSpec((0.9,), condensate_amplitude=5.0), truncation=30
             )
-
-    def test_mode_limit(self):
-        with pytest.raises(ValueError):
-            fock_oracle(PairExcitationSpec((0.1,) * 4, 1.0))
 
 
 class TestCoulombExpectation:

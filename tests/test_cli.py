@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coulomblab import bogoliubov
-from coulomblab.cli import DEFAULT_SEED, main
+from coulomblab import bogoliubov, thermo
+from coulomblab.cli import DEFAULT_SEED, THERMO_LIMIT_SCALES, main
 from coulomblab.errors import ConvergenceError
 from coulomblab.report import EnergyReport, dumps_canonical, format_float, rows_to_csv
 
@@ -52,6 +53,16 @@ class TestCliContract:
     def test_bad_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')
+        assert main(["legendre", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("name", ["semiclassical_match", "gauge",
+                                      "stability_agreement"])
+    def test_unread_tolerance_names_rejected(self, name, capsys):
+        assert main(["legendre", "--tol", f"{name}=1"]) == 2
+
+    def test_grids_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grids": {}}')
         assert main(["legendre", "--config", str(cfg)]) == 2
 
     def test_legendre_passes(self, tmp_path):
@@ -219,6 +230,20 @@ class TestCliContract:
     def test_passing_subcommand_bytes_across_blas_threads(self, subcommand):
         art = json.loads(self._stdout_across_blas_threads(subcommand))
         assert art["pass"] is True
+
+    def test_thermo_limit_scales_hold_at_every_mu(self):
+        # lattice-point oscillations of the filled set made a 5-scale fit
+        # miss by 1.4% at mu = -0.52; the subcommand accepts 1%
+        worst = 0.0
+        for mu in np.linspace(-3.0, -0.5, 251):
+            rep = thermo.thermodynamic_extrapolation(
+                thermo.free_fermion_energy_map(mu, 1.0),
+                lambda L: thermo.BoxDomain(L), THERMO_LIMIT_SCALES,
+            )
+            closed = thermo.free_fermion_energy_density(mu, 1.0)
+            worst = max(worst, abs(rep.e_infinity - closed) / abs(closed))
+        assert len(THERMO_LIMIT_SCALES) == 41
+        assert worst < 0.01
 
     def test_thermo_limit_csv_schema(self, tmp_path):
         out = tmp_path / "thermo.csv"

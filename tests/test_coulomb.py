@@ -135,6 +135,24 @@ class TestExactCoulomb:
                 [[0, 0, 0], [0, 0, 1e-15]], [1.0, -1.0], ("plus", "minus")
             )
 
+    def test_distance_matrix_shared_and_frozen(self):
+        pos = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
+        c = ChargeConfiguration(pos, [1.0, -1.0, 1.0], ("plus", "minus", "plus"))
+        d = c.pair_distances()
+        assert d is c.pair_distances()
+        assert d[0, 1] == 5.0 and d[1, 2] == math.sqrt(29.0)
+        with pytest.raises(ValueError):
+            d[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            c.positions[0, 0] = 1.0
+        # the caller's array stays its own and cannot reach the stored matrix
+        pos[0, 0] = 1.0
+        assert c.positions[0, 0] == 0.0
+        exact_coulomb_energy(c)
+        onsager_lower_bound(c)
+        assert c.diameter == math.sqrt(29.0)
+        assert np.array_equal(np.diag(d), np.zeros(3))
+
     def test_json_round_trip(self):
         c = random_neutral_configuration(np.random.default_rng(3))
         back = ChargeConfiguration.from_json(c.to_json())

@@ -117,6 +117,13 @@ class TestRadialFourierTransform:
         with pytest.raises(TailError):
             radial_fourier_transform(f, 1.0)
 
+    def test_tail_other_than_coulomb_rejected(self):
+        # only the 1/r tail has its Abel-regularized integral in closed form
+        r = geometric_radial_grid(1e-2, 5.0, 100)
+        f = RadialGridFunction(r, 1.0 / r**2, tail_exponent=-2.0)
+        with pytest.raises(TailError):
+            radial_fourier_transform(f, 1.0)
+
 
 class TestRadialGridFunction:
     def test_requires_increasing_nodes(self):
