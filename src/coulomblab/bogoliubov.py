@@ -393,7 +393,7 @@ def total_energy_expectation(
     w = profile.quadrature_weights()
     _check_gram(basis, w)
 
-    xi_d = profile.xi0._spline.derivative()(profile.xi0.nodes)
+    xi_d = profile.xi0.spline.derivative()(profile.xi0.nodes)
     condensate_kin = 0.5 * big_n * float(np.dot(w, xi_d**2))
 
     lap = basis.derivatives @ (w[:, None] * basis.derivatives.T)

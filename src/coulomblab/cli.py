@@ -196,7 +196,7 @@ def _run_fock_oracle(cfg: RunConfig) -> int:
     worst = 0.0
     rows = []
     for _ in range(count):
-        n_modes = int(rng.integers(1, 3))
+        n_modes = int(rng.integers(1, 4))
         lambdas = tuple(rng.uniform(0.0, 0.55, size=n_modes))
         amp = float(np.sqrt(rng.uniform(0.0, 8.0)))
         spec = bogoliubov.PairExcitationSpec(lambdas, amp)

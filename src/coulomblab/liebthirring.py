@@ -244,38 +244,43 @@ def lowest_cube_mode_energies(
 ) -> np.ndarray:
     """The `count` lowest Dirichlet eigenvalues pi^2 |n|^2 / (2 m side^2).
 
-    Modes n run over positive integer vectors.  The enumeration cap grows
-    until the count-th value is certainly below anything outside the cap.
+    Modes n run over positive integer vectors.  The cap grows until at least
+    `count` levels lie below (cap+1)^2 + (ndim-1), the least |n|^2 of any
+    mode with an index above the cap, so those levels are the lowest.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    scale = math.pi**2 / (2.0 * mass * side**2)
     cap = max(2, int(math.ceil((3.0 * count) ** (1.0 / ndim))) + 1)
     while True:
-        axes = [np.arange(1, cap + 1)] * ndim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        n2 = sum(m_**2 for m_ in mesh).reshape(-1)
-        if n2.size >= count:
-            n2_sorted = np.sort(n2)
-            # anything outside the cap has |n|^2 >= (cap+1)^2 + (ndim-1)
-            if n2_sorted[count - 1] < (cap + 1) ** 2 + (ndim - 1):
-                return (
-                    math.pi**2 / (2.0 * mass * side**2) * n2_sorted[:count].astype(float)
-                )
+        levels = cube_mode_energies_below(
+            scale * ((cap + 1) ** 2 + ndim - 1), side, mass, ndim)
+        if levels.size >= count:
+            return levels[:count]
         cap = int(cap * 1.5) + 1
 
 
-def cube_mode_energies_below(threshold: float, side: float, mass: float) -> np.ndarray:
-    """All Dirichlet cube mode energies strictly below `threshold` (3-d)."""
+def cube_mode_energies_below(
+    threshold: float, side: float, mass: float, ndim: int = 3, strict: bool = False
+) -> np.ndarray:
+    """Sorted Dirichlet cube mode energies pi^2 |n|^2 / (2 m side^2) below `threshold`.
+
+    Modes n run over all positive integer ndim-tuples, or with `strict` over
+    the strictly increasing ones only (the antisymmetric sector, whose
+    levels are the spectrum of the corner simplex 0 <= x1 <= ... <= side).
+    This is the package's one enumeration of Dirichlet cube levels.
+    """
     if threshold <= 0:
         return np.empty(0)
     n2_max = threshold * 2.0 * mass * side**2 / math.pi**2
     cap = int(math.floor(math.sqrt(n2_max)))
     if cap < 1:
         return np.empty(0)
-    ax = np.arange(1, cap + 1)
-    mesh = np.meshgrid(ax, ax, ax, indexing="ij")
-    n2 = (mesh[0] ** 2 + mesh[1] ** 2 + mesh[2] ** 2).reshape(-1)
-    energies = math.pi**2 / (2.0 * mass * side**2) * n2
+    mesh = np.meshgrid(*[np.arange(1, cap + 1)] * ndim, indexing="ij")
+    n2 = sum(k**2 for k in mesh)
+    if strict:
+        n2 = n2[np.all(np.diff(mesh, axis=0) > 0, axis=0)]
+    energies = math.pi**2 / (2.0 * mass * side**2) * n2.reshape(-1)
     return np.sort(energies[energies < threshold])
 
 

@@ -72,13 +72,14 @@ class RadialGridFunction:
             raise ValueError("values must be finite")
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def spline(self) -> CubicSpline:
+        """Cubic interpolant through the nodes, built once and cached."""
         return CubicSpline(self.nodes, self.values, extrapolate=True)
 
     def __call__(self, r):
         """Cubic interpolant inside the grid, declared tail beyond it."""
         r = np.asarray(r, dtype=float)
-        out = self._spline(r)
+        out = self.spline(r)
         last = self.nodes[-1]
         beyond = r > last
         if np.any(beyond):
@@ -209,7 +210,7 @@ def radial_fourier_transform(f: RadialGridFunction, k: float) -> float:
         raise TailError("the radial transform takes no tail or the 1/r tail")
 
     r_last = float(f.nodes[-1])
-    spline = f._spline
+    spline = f.spline
 
     # many oscillation periods at large k push QUADPACK to its roundoff
     # floor; the warning is informational there and accuracy is checked

@@ -99,9 +99,24 @@ def wavevectors(n: int, box_len: float) -> list[np.ndarray]:
     ]
 
 
-def _momentum_apply(scalar: np.ndarray, k_axis: np.ndarray) -> np.ndarray:
-    """(-i d/dx_j) f via the spectral multiplier k_j."""
-    return np.fft.ifftn(k_axis * np.fft.fftn(scalar))
+def _covariant(
+    data: np.ndarray, a: PeriodicField | None, q: float, box_len: float
+) -> np.ndarray:
+    """(-i d_j + q A_j) of every component, shape (3, components, n, n, n).
+
+    The derivative is the spectral multiplier k_j; each component is
+    transformed once and shared by the three axes.  Without a vector
+    potential this is the bare momentum -i grad.
+    """
+    ks = wavevectors(data.shape[-1], box_len)
+    out = np.empty((3,) + data.shape, dtype=complex)
+    for s, comp in enumerate(data):
+        spec = np.fft.fftn(comp)
+        for j in range(3):
+            out[j, s] = np.fft.ifftn(ks[j] * spec)
+            if a is not None:
+                out[j, s] += q * a.data[j].real * comp
+    return out
 
 
 def covariant_derivative(
@@ -116,13 +131,7 @@ def covariant_derivative(
             raise ValueError("vector potential needs 3 components")
         if np.abs(a.data.imag).max() > 1e-12 * max(np.abs(a.data.real).max(), 1e-300):
             raise ValueError("vector potential must be real valued")
-    ks = wavevectors(f.grid_n, f.box_len)
-    out = np.empty((3,) + f.data.shape[1:], dtype=complex)
-    for j in range(3):
-        out[j] = _momentum_apply(f.data[0], ks[j])
-        if a is not None:
-            out[j] += q * a.data[j].real * f.data[0]
-    return out
+    return _covariant(f.data, a, q, f.box_len)[:, 0]
 
 
 def grid_integral(values: np.ndarray, field: PeriodicField) -> float:
@@ -192,11 +201,11 @@ def diamagnetic_sobolev_check(
         (np.abs(covariant_derivative(f, a, q)) ** 2).sum(axis=0), f
     )
     eps = 1e-10 * float(np.abs(f.data).max())
-    absf = np.sqrt(np.abs(f.data[0]) ** 2 + eps**2)
-    ks = wavevectors(f.grid_n, f.box_len)
+    absf = np.sqrt(np.abs(f.data[:1]) ** 2 + eps**2)
+    grad_absf = _covariant(absf, None, 0.0, f.box_len)
     mid = 0.0
     for j in range(3):
-        mid += grid_integral(np.abs(_momentum_apply(absf, ks[j])) ** 2, f)
+        mid += grid_integral(np.abs(grad_absf[j, 0]) ** 2, f)
     sob = grid_integral(np.abs(f.data[0]) ** 6, f) ** (1.0 / 3.0)
 
     slack = 1e-9 * max(lhs, 1e-300)
@@ -278,31 +287,14 @@ def _band_energy_fraction(field: PeriodicField) -> float:
     return high_part / max(total, 1e-300)
 
 
-def _spinor_covariant(psi: PeriodicField, a: PeriodicField, q: float) -> np.ndarray:
-    """D_j psi for both spinor components, shape (3, 2, n, n, n)."""
-    ks = wavevectors(psi.grid_n, psi.box_len)
-    out = np.empty((3, 2) + psi.data.shape[1:], dtype=complex)
-    for j in range(3):
-        for s in range(2):
-            out[j, s] = _momentum_apply(psi.data[s], ks[j])
-            out[j, s] += q * a.data[j].real * psi.data[s]
-    return out
-
-
 def curl(a: PeriodicField) -> np.ndarray:
     """B = curl A computed spectrally, shape (3, n, n, n), real."""
     if a.components != 3:
         raise ValueError("curl needs a vector field")
-    ks = wavevectors(a.grid_n, a.box_len)
-
-    def d(j, comp):
-        return np.fft.ifftn(1.0j * ks[j] * np.fft.fftn(a.data[comp].real))
-
-    b = np.empty((3,) + a.data.shape[1:], dtype=complex)
-    b[0] = d(1, 2) - d(2, 1)
-    b[1] = d(2, 0) - d(0, 2)
-    b[2] = d(0, 1) - d(1, 0)
-    return b.real
+    # p[j, c] = -i d_j A_c, so (curl A)_i = d_j A_k - d_k A_j
+    # = -Im(p[j, k] - p[k, j]) for cyclic (i, j, k)
+    p = _covariant(a.data.real, None, 0.0, a.box_len)
+    return np.stack([-(p[j, k] - p[k, j]).imag for j, k in ((1, 2), (2, 0), (0, 1))])
 
 
 @dataclass
@@ -334,14 +326,13 @@ def lichnerowicz_check(
     if enforce_resolution and _band_energy_fraction(a) > 1e-10:
         raise ResolutionError("vector potential is not band limited on this grid")
 
-    dpsi = _spinor_covariant(psi, a, q)  # (3, 2, n, n, n)
+    dpsi = _covariant(psi.data, a, q, psi.box_len)  # (3, 2, n, n, n)
 
     # sigma.D psi
     sd = np.zeros((2,) + psi.data.shape[1:], dtype=complex)
     for j in range(3):
         sd += np.einsum("st,txyz->sxyz", _PAULI[j], dpsi[j])
-    sd_field = PeriodicField(psi.box_len, sd)
-    d_sd = _spinor_covariant(sd_field, a, q)
+    d_sd = _covariant(sd, a, q, psi.box_len)
     lhs = np.zeros_like(sd)
     for j in range(3):
         lhs += np.einsum("st,txyz->sxyz", _PAULI[j], d_sd[j])
@@ -349,9 +340,7 @@ def lichnerowicz_check(
     # D^2 psi + q sigma.B psi
     rhs = np.zeros_like(sd)
     for j in range(3):
-        comp_field = PeriodicField(psi.box_len, dpsi[j])
-        d2 = _spinor_covariant(comp_field, a, q)
-        rhs += d2[j]
+        rhs += _covariant(dpsi[j], a, q, psi.box_len)[j]
     b = curl(a)
     sigma_b = np.zeros_like(sd)
     for j in range(3):

@@ -55,13 +55,8 @@ class Domain:
 
     def volume(self, h: float = 0.05) -> float:
         """Midpoint-lattice volume; exact shapes override."""
-        lo, hi = self.bounding_box()
-        counts = np.maximum(np.ceil((hi - lo) / h).astype(int), 1)
-        axes = [lo[i] + (np.arange(counts[i]) + 0.5) * (hi[i] - lo[i]) / counts[i]
-                for i in range(3)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        cell = float(np.prod((hi - lo) / counts))
-        return cell * float(np.count_nonzero(self.contains(pts)))
+        mask, steps = _midpoint_raster(self, h)
+        return float(np.prod(steps)) * float(np.count_nonzero(mask))
 
     def translated(self, z: np.ndarray) -> "Domain":
         raise NotImplementedError
@@ -184,6 +179,23 @@ class DifferenceDomain(Domain):
         return DifferenceDomain(self.a.translated(z), self.b.translated(z))
 
 
+def _midpoint_raster(domain: Domain, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Containment mask of the midpoint lattice on the domain's bounding box.
+
+    Each axis gets ceil(extent / h) cells (at least one), so the three steps
+    are at most h.  Keep the midpoints as lo + (i + 1/2) (hi - lo) / count:
+    the corner tetrahedron's diagonal sites lie on its faces, so whether
+    they pass its barycentric test depends on the rounding of these values.
+    """
+    lo, hi = domain.bounding_box()
+    counts = np.maximum(np.ceil((hi - lo) / h).astype(int), 1)
+    axes = [lo[i] + (np.arange(counts[i]) + 0.5) * (hi[i] - lo[i]) / counts[i]
+            for i in range(3)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mask = domain.contains(pts.reshape(-1, 3)).reshape(pts.shape[:-1])
+    return mask, (hi - lo) / counts
+
+
 @dataclass
 class EnergyMap:
     """Named map from domains to energies; the empty set must map to 0."""
@@ -203,10 +215,7 @@ def free_fermion_box_energy(side: float, mu: float, m: float) -> float:
         raise ValueError("mu must be negative for a finite filled set")
     if side <= 0 or m <= 0:
         raise ValueError("side and mass must be positive")
-    energies = cube_mode_energies_below(-mu, side, m)
-    if energies.size == 0:
-        return 0.0
-    return float(np.sum(energies + mu))
+    return float(np.sum(cube_mode_energies_below(-mu, side, m) + mu))
 
 
 def free_fermion_energy_density(mu: float, m: float) -> float:
@@ -269,15 +278,7 @@ def rasterized_dirichlet_energy(
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
-    lo, hi = domain.bounding_box()
-    if np.all(hi <= lo):
-        return 0.0
-    counts = np.maximum(np.ceil((hi - lo) / h).astype(int), 1)
-    axes = [lo[i] + (np.arange(counts[i]) + 0.5) * (hi[i] - lo[i]) / counts[i]
-            for i in range(3)]
-    steps = [(hi[i] - lo[i]) / counts[i] for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    mask = domain.contains(pts.reshape(-1, 3)).reshape(pts.shape[:-1])
+    mask, steps = _midpoint_raster(domain, h)
     n_sites = int(np.count_nonzero(mask))
     if n_sites == 0:
         return 0.0
@@ -348,15 +349,7 @@ def corner_simplex_exact_energy(ell: float, mu: float, m: float) -> float:
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
-    n2_max = -mu * 2.0 * m * ell**2 / math.pi**2
-    kmax = int(math.floor(math.sqrt(max(n2_max - 5.0, 0.0)))) + 3
-    ax = np.arange(1, kmax + 1)
-    k1, k2, k3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    distinct = (k1 < k2) & (k2 < k3)
-    n2 = (k1**2 + k2**2 + k3**2)[distinct]
-    energies = math.pi**2 / (2.0 * m * ell**2) * n2
-    filled = energies[energies < -mu]
-    return float(np.sum(filled + mu))
+    return float(np.sum(cube_mode_energies_below(-mu, ell, m, strict=True) + mu))
 
 
 def free_fermion_energy_map(mu: float, m: float, raster_h: float = 0.5) -> EnergyMap:

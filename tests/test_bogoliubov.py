@@ -139,7 +139,7 @@ class TestFockOracle:
     def test_seeded_sweep(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
-            n_modes = int(rng.integers(1, 3))
+            n_modes = int(rng.integers(1, 4))
             spec = PairExcitationSpec(
                 tuple(rng.uniform(0.0, 0.55, size=n_modes)),
                 condensate_amplitude=float(np.sqrt(rng.uniform(0.0, 8.0))),

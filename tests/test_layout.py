@@ -21,6 +21,19 @@ def test_no_private_names_imported_from_sibling_modules():
     assert not offenders, offenders
 
 
+def test_no_private_attributes_read_across_objects():
+    # an object's _names are its own: only self and cls may reach them
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.endswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not offenders, offenders
+
+
 def _imported_modules():
     """(file name, module) for every absolute import in the package."""
     for path in sorted(PACKAGE.glob("*.py")):

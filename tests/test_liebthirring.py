@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from coulomblab.liebthirring import (
     _density_objective,
     box_kinetic_lower_bound,
     classical_lt_constant,
+    cube_mode_energies_below,
     dirichlet_cube_kinetic_sum,
     lowest_cube_mode_energies,
     lt_rhs,
@@ -28,6 +30,20 @@ def midpoint_ball_grid(radius, n):
     r = np.sqrt(x**2 + y**2 + z**2)
     v = np.where(r < radius, 1.0 / r, 0.0)
     return v.ravel(), h**3
+
+
+def brute_force_levels(threshold, side, mass, ndim, strict):
+    """Dirichlet cube levels below threshold by looping over index tuples."""
+    scale = math.pi**2 / (2.0 * mass * side**2)
+    cap = math.isqrt(int(threshold / scale)) + 2
+    levels = []
+    for ks in itertools.product(range(1, cap + 1), repeat=ndim):
+        if strict and any(a >= b for a, b in zip(ks, ks[1:])):
+            continue
+        e = scale * sum(k * k for k in ks)
+        if e < threshold:
+            levels.append(e)
+    return sorted(levels)
 
 
 class TestLtRhs:
@@ -281,6 +297,26 @@ class TestDirichletSums:
         # 1-d: sum of pi^2 k^2 / 2 up to N
         got = lowest_cube_mode_energies(4, 1.0, 1.0, ndim=1)
         assert np.allclose(got, math.pi**2 / 2.0 * np.array([1, 4, 9, 16]))
+        # 2-d: |n|^2 = 2, 5, 5, 8, 10, 10
+        got = lowest_cube_mode_energies(6, 1.0, 1.0, ndim=2)
+        assert np.allclose(got, math.pi**2 / 2.0 * np.array([2, 5, 5, 8, 10, 10]))
+
+    @pytest.mark.parametrize("ndim, strict", [(1, False), (2, False), (3, False),
+                                              (1, True), (2, True), (3, True)])
+    def test_levels_below_match_brute_force(self, ndim, strict):
+        for threshold, side, mass in ((100.0, 1.0, 1.0), (12.0, 4.5, 0.7), (250.0, 2.0, 3.0)):
+            got = cube_mode_energies_below(threshold, side, mass, ndim, strict)
+            want = brute_force_levels(threshold, side, mass, ndim, strict)
+            assert got.size == len(want) > 0
+            assert got == pytest.approx(want, rel=1e-15)
+
+    def test_level_on_the_threshold_is_excluded(self):
+        # pi^2 14 / 2 is the lowest strictly increasing triple (1, 2, 3)
+        scale = math.pi**2 / 2.0
+        assert cube_mode_energies_below(scale * 14, 1.0, 1.0, strict=True).size == 0
+        assert cube_mode_energies_below(scale * 14, 1.0, 1.0).tolist() == [
+            scale * n2 for n2 in (3, 6, 6, 6, 9, 9, 9, 11, 11, 11, 12)
+        ]
 
     def test_dominates_box_bound_with_classical_constant(self):
         p = LtParameters(m=1.0)

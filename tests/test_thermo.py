@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -127,6 +128,24 @@ class TestCornerSimplex:
         assert corner_simplex_exact_energy(L, mu, 1.0) == pytest.approx(
             total, rel=1e-12
         )
+
+    @pytest.mark.parametrize("ell, h, mu", [(6.0, 0.5, -3.0), (8.0, 0.5, -2.0),
+                                            (5.0, 0.35, -6.0)])
+    def test_raster_is_the_antisymmetric_lattice(self, ell, h, mu):
+        # the raster {j1 <= j2 <= j3} of an n^3 lattice, shifted to
+        # k_i = j_i + i - 1, is {0 <= k1 < k2 < k3 <= n + 1}: its 7-point
+        # Laplacian is the antisymmetric sector of the (n + 2)^3 cube lattice,
+        # with levels la_a + la_b + la_c over strictly increasing a < b < c
+        m = 1.5
+        n = math.ceil(ell / h)
+        s = ell / n
+        ladder = [(1.0 - math.cos(math.pi * a / (n + 3))) / (m * s * s)
+                  for a in range(1, n + 3)]
+        levels = [sum(t) for t in itertools.combinations(ladder, 3)]
+        want = sum(e + mu for e in levels if e < -mu)
+        got = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
+                                          mu, m, h)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_raster_converges_to_exact(self):
         L, mu = 12.0, -2.0
