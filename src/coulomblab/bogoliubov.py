@@ -313,12 +313,14 @@ class RadialBasis:
 
 
 def build_gaussian_polynomial_basis(
-    profile: CondensateProfile, n_modes: int, width: float | None = None
+    profile: CondensateProfile, n_modes: int
 ) -> RadialBasis:
-    """r^j exp(-r^2/2w^2) seeds orthonormalized against the grid quadrature."""
+    """r^j exp(-r^2/2w^2) seeds orthonormalized against the grid quadrature.
+
+    The envelope width w is a quarter of the grid's outer radius.
+    """
     r = profile.xi0.nodes
-    if width is None:
-        width = 0.25 * r[-1]
+    width = 0.25 * r[-1]
     env = np.exp(-(r**2) / (2 * width**2))
     raw = np.array([r**j * env for j in range(n_modes)])
     raw_d = np.array(
@@ -381,26 +383,22 @@ def total_energy_expectation(
     profile: CondensateProfile,
     gamma0: PsdMatrix,
     basis: RadialBasis,
-    big_n: float | None = None,
 ) -> EnergyReport:
     """Condensate kinetic + pair kinetic + pair Coulomb expectation.
 
     (N/2) int |grad xi0|^2 + (1/2) Tr(-Lap gamma0)
         + N Tr( K (gamma0 - sqrt(gamma0(gamma0+1))) ).
     """
-    if big_n is None:
-        big_n = profile.N
     w = profile.quadrature_weights()
     _check_gram(basis, w)
 
     xi_d = profile.xi0.spline.derivative()(profile.xi0.nodes)
-    condensate_kin = 0.5 * big_n * float(np.dot(w, xi_d**2))
+    condensate_kin = 0.5 * profile.N * float(np.dot(w, xi_d**2))
 
     lap = basis.derivatives @ (w[:, None] * basis.derivatives.T)
     pair_kin = 0.5 * float(np.trace(lap @ gamma0.entries))
 
-    scaled = CondensateProfile(profile.xi0, big_n)
-    pair_coulomb = coulomb_expectation_finite_basis(scaled, gamma0, basis)
+    pair_coulomb = coulomb_expectation_finite_basis(profile, gamma0, basis)
 
     return EnergyReport(
         name="total_energy_expectation",
@@ -409,7 +407,7 @@ def total_energy_expectation(
             "pair_kinetic": pair_kin,
             "pair_coulomb": pair_coulomb,
         },
-        provenance={"N": big_n, "basis_dim": gamma0.dim,
+        provenance={"N": profile.N, "basis_dim": gamma0.dim,
                     "grid_nodes": len(profile.xi0.nodes)},
     )
 

@@ -22,11 +22,9 @@ from .numerics import RadialGridFunction, radial_fourier_transform
 
 __all__ = [
     "Simplex",
-    "IsometrySample",
     "regular_tetrahedron",
     "SimplexTester",
     "random_rotations",
-    "sample_isometry",
     "overlap_kernel",
     "estimate_radial_kernel",
     "gs_positive_type_check",
@@ -82,22 +80,6 @@ def regular_tetrahedron(edge: float = 1.0) -> Simplex:
     return Simplex(verts)
 
 
-@dataclass
-class IsometrySample:
-    """Rotation-translation pair with RtR = 1 to 1e-12 and det = +1."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.allclose(self.rotation @ self.rotation.T, np.eye(3), atol=1e-12):
-            raise ValueError("rotation is not orthogonal to 1e-12")
-        if np.linalg.det(self.rotation) < 0:
-            raise ValueError("rotation must have determinant +1")
-
-
 def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
     """Batch of unit quaternions (n, 4) to rotation matrices (n, 3, 3)."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
@@ -121,19 +103,6 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     return _quaternions_to_matrices(q)
 
 
-def sample_isometry(
-    rng: np.random.Generator, cell_lo: np.ndarray, cell_hi: np.ndarray
-) -> IsometrySample:
-    """One Haar-uniform rotation with a translation uniform on the cell."""
-    lo = np.asarray(cell_lo, dtype=float).reshape(3)
-    hi = np.asarray(cell_hi, dtype=float).reshape(3)
-    if not np.all(hi > lo):
-        raise ValueError("translation cell must have positive volume")
-    rot = random_rotations(rng, 1)[0]
-    t = rng.uniform(lo, hi)
-    return IsometrySample(rot, t)
-
-
 class SimplexTester:
     """Barycentric containment test for g(l simplex) in batch form."""
 
@@ -152,10 +121,44 @@ class SimplexTester:
         return ok & (lam.sum(axis=-1) <= 1.0 + BARYCENTRIC_SLACK)
 
 
-def _translation_cell(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    lo = points.min(axis=0) - reach
-    hi = points.max(axis=0) + reach
-    return lo, hi
+def _pair_average(
+    points: np.ndarray,
+    weights: np.ndarray,
+    tester: SimplexTester,
+    samples: int,
+    rng: np.random.Generator,
+    chunk: int,
+) -> tuple[float, float]:
+    """Average over isometries g of 1/2 sum_ij 1[r_i in g] 1[r_j in g] W_ij.
+
+    It is reported per unit |l simplex| with its standard error.  Translations
+    are uniform on the points' covering cell (the points inflated by the
+    simplex reach, outside which every indicator vanishes, so the estimator
+    is unbiased); each batch of ``chunk`` isometries draws its rotations
+    before its translations.
+    """
+    lo = points.min(axis=0) - tester.reach
+    hi = points.max(axis=0) + tester.reach
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        rots = random_rotations(rng, m)
+        trans = rng.uniform(lo, hi, size=(m, 3))
+        # map the points into the reference placement: R^T (p - t)
+        rel = points[None, :, :] - trans[:, None, :]
+        local = np.einsum("mji,mpj->mpi", rots, rel)
+        inside = tester.contains(local).astype(float)
+        vals = 0.5 * np.einsum("mi,mj,ij->m", inside, inside, weights)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+        done += m
+
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0)
+    factor = float(np.prod(hi - lo)) / tester.volume
+    return factor * mean, factor * math.sqrt(var / samples)
 
 
 def overlap_kernel(
@@ -166,40 +169,14 @@ def overlap_kernel(
     samples: int,
     seed=0,
 ) -> tuple[float, float]:
-    """Normalized overlap measure estimate with its standard error.
-
-    Samples isometries over the minimal covering cell (points inflated by
-    the simplex reach, outside which the indicator vanishes, so the
-    estimator is unbiased) and returns
-
-        F(r, r') / |l simplex|  ~  V_cell * P(both inside) / |l simplex|.
-    """
+    """Estimate of F(r, r') / |l simplex| with its standard error."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    tester = SimplexTester(simplex, ell)
     pts = np.stack([np.asarray(r, float).reshape(3), np.asarray(r_prime, float).reshape(3)])
-    lo, hi = _translation_cell(pts, tester.reach)
-    v_cell = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_KERNEL_CHUNK, samples - done)
-        rots = random_rotations(rng, m)
-        trans = rng.uniform(lo, hi, size=(m, 3))
-        # map the two points into the reference placement: R^T (p - t)
-        rel = pts[None, :, :] - trans[:, None, :]
-        local = np.einsum("mji,mpj->mpi", rots, rel)
-        inside = tester.contains(local)
-        hits += int(np.count_nonzero(inside.all(axis=1)))
-        done += m
-
-    p_hat = hits / samples
-    factor = v_cell / tester.volume
-    estimate = factor * p_hat
-    std_error = factor * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return estimate, std_error
+    # W = [[0, 1], [1, 0]] makes the summand 1[r in g] 1[r' in g], also when r = r'
+    return _pair_average(pts, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         SimplexTester(simplex, ell), samples,
+                         np.random.default_rng(seed), _KERNEL_CHUNK)
 
 
 def estimate_radial_kernel(
@@ -355,31 +332,10 @@ def sliding_inequality_experiment(
 
     rows = []
     for idx, ell in enumerate(np.asarray(ell_list, dtype=float)):
-        tester = SimplexTester(simplex, ell)
-        lo, hi = _translation_cell(c.positions, tester.reach)
-        v_cell = float(np.prod(hi - lo))
-        rng = np.random.default_rng([seed, idx])
-
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < samples:
-            m = min(_SLIDING_CHUNK, samples - done)
-            rots = random_rotations(rng, m)
-            trans = rng.uniform(lo, hi, size=(m, 3))
-            rel = c.positions[None, :, :] - trans[:, None, :]
-            local = np.einsum("mji,mpj->mpi", rots, rel)
-            inside = tester.contains(local).astype(float)
-            vals = 0.5 * np.einsum("mi,mj,ij->m", inside, inside, pair_matrix)
-            total += float(vals.sum())
-            total_sq += float((vals**2).sum())
-            done += m
-
-        mean = total / samples
-        var = max(total_sq / samples - mean**2, 0.0)
-        factor = v_cell / tester.volume
-        estimate = factor * mean
-        std_error = factor * math.sqrt(var / samples)
+        estimate, std_error = _pair_average(
+            c.positions, pair_matrix, SimplexTester(simplex, ell), samples,
+            np.random.default_rng([seed, idx]), _SLIDING_CHUNK,
+        )
         d_stat = (estimate - exact) * ell / sum_q2
         rows.append(SlidingRow(ell=float(ell), estimate=estimate,
                                std_error=std_error, D=d_stat))

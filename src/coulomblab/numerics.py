@@ -154,7 +154,6 @@ def legendre_transform(
     p: np.ndarray,
     t: np.ndarray,
     v: float,
-    convexity_tol: float = 1e-9,
 ) -> float:
     """sup_p (v*p - T(p)) of a convex function sampled on a grid.
 
@@ -172,9 +171,9 @@ def legendre_transform(
 
     scale = max(1.0, float(np.abs(t).max()))
     slopes = np.diff(t) / np.diff(p)
-    if np.any(np.diff(slopes) < -convexity_tol * scale):
+    if np.any(np.diff(slopes) < -1e-9 * scale):
         raise ConvexityError("second differences violate convexity")
-    if not (slopes[0] - convexity_tol <= v <= slopes[-1] + convexity_tol):
+    if not (slopes[0] - 1e-9 <= v <= slopes[-1] + 1e-9):
         raise SlopeRangeError(
             f"v={v} outside attained slope range [{slopes[0]}, {slopes[-1]}]"
         )

@@ -100,22 +100,23 @@ def wavevectors(n: int, box_len: float) -> list[np.ndarray]:
 
 
 def _covariant(
-    data: np.ndarray, a: PeriodicField | None, q: float, box_len: float
+    data: np.ndarray, a: PeriodicField | None, q: float, box_len: float,
+    axes: tuple[int, ...] = (0, 1, 2),
 ) -> np.ndarray:
-    """(-i d_j + q A_j) of every component, shape (3, components, n, n, n).
+    """(-i d_j + q A_j) of every component for j in axes.
 
-    The derivative is the spectral multiplier k_j; each component is
-    transformed once and shared by the three axes.  Without a vector
-    potential this is the bare momentum -i grad.
+    Shape (len(axes), components, n, n, n).  The derivative is the spectral
+    multiplier k_j; each component is transformed once and shared by the
+    axes.  Without a vector potential this is the bare momentum -i grad.
     """
     ks = wavevectors(data.shape[-1], box_len)
-    out = np.empty((3,) + data.shape, dtype=complex)
+    out = np.empty((len(axes),) + data.shape, dtype=complex)
     for s, comp in enumerate(data):
         spec = np.fft.fftn(comp)
-        for j in range(3):
-            out[j, s] = np.fft.ifftn(ks[j] * spec)
+        for i, j in enumerate(axes):
+            out[i, s] = np.fft.ifftn(ks[j] * spec)
             if a is not None:
-                out[j, s] += q * a.data[j].real * comp
+                out[i, s] += q * a.data[j].real * comp
     return out
 
 
@@ -160,11 +161,9 @@ def sobolev_test_constant() -> float:
     return 0.995 * 3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0)
 
 
-def schrodinger_bound_constant(sobolev_c: float | None = None) -> float:
+def schrodinger_bound_constant() -> float:
     """Constant C for the one-body lower bound -C (int V1^(5/2) + ||V2||)."""
-    if sobolev_c is None:
-        sobolev_c = sobolev_test_constant()
-    from_v1 = 0.4 * 0.6**1.5 * sobolev_c**-1.5
+    from_v1 = 0.4 * 0.6**1.5 * sobolev_test_constant() ** -1.5
     return max(1.0, from_v1)
 
 
@@ -184,18 +183,17 @@ def diamagnetic_sobolev_check(
     f: PeriodicField,
     a: PeriodicField | None,
     q: float,
-    c_test: float | None = None,
 ) -> tuple[float, float, float]:
     """Ordered triple (lhs, mid, sobolev_term) of the diamagnetic chain.
 
     lhs = int |(-i grad + qA) f|^2, mid = int |grad |f||^2 and
     sobolev_term = (int |f|^6)^(1/3); raises BoundViolationError unless
-    lhs >= mid >= c_test * sobolev_term (up to grid-epsilon slack).
+    lhs >= mid >= C * sobolev_term (up to grid-epsilon slack), with C the
+    tested Sobolev constant.
     |f| is regularized as sqrt(|f|^2 + eps^2) with eps = 1e-10 max|f|
     before spectral differentiation, smoothing the kink at zeros of f.
     """
-    if c_test is None:
-        c_test = sobolev_test_constant()
+    c_test = sobolev_test_constant()
     _check_boundary_support(f)
     lhs = grid_integral(
         (np.abs(covariant_derivative(f, a, q)) ** 2).sum(axis=0), f
@@ -340,7 +338,7 @@ def lichnerowicz_check(
     # D^2 psi + q sigma.B psi
     rhs = np.zeros_like(sd)
     for j in range(3):
-        rhs += _covariant(dpsi[j], a, q, psi.box_len)[j]
+        rhs += _covariant(dpsi[j], a, q, psi.box_len, axes=(j,))[0]
     b = curl(a)
     sigma_b = np.zeros_like(sd)
     for j in range(3):
@@ -426,7 +424,6 @@ def _pair_split_bound(mass: float, z: float, n_particles: int, c: float) -> floa
 def stability_first_kind_demo(
     charges: tuple[float, ...],
     mass: float = 1.0,
-    widths: np.ndarray | None = None,
 ) -> dict:
     """Few-body demonstration that trial energies respect the N-body bound.
 
@@ -441,8 +438,7 @@ def stability_first_kind_demo(
     n = len(charges)
     if n not in (2, 3):
         raise ValueError("demonstration covers N = 2 or 3 particles")
-    if widths is None:
-        widths = np.geomspace(0.05, 50.0, 200)
+    widths = np.geomspace(0.05, 50.0, 200)
     c = schrodinger_bound_constant()
     bound = 0.0
     for i in range(n):

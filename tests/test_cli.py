@@ -234,7 +234,14 @@ class TestCliContract:
     def test_thermo_limit_scales_hold_at_every_mu(self):
         # lattice-point oscillations of the filled set made a 5-scale fit
         # miss by 1.4% at mu = -0.52; the subcommand accepts 1%
-        worst = 0.0
+        #
+        # lattice-sum oracle: E(L) sums |mu| (|n|^2/R^2 - 1) over positive
+        # n with |n| < R = L sqrt(2 m |mu|) / pi.  Inclusion-exclusion over
+        # the coordinate planes, axes and origin, with each lattice sum
+        # taken as its integral, splits off the boundary terms
+        # (|mu|/8)(3 pi R^2/2 - 4R + 1); what is left, per volume and
+        # averaged over the scales, is the bulk density
+        worst = worst_oracle = 0.0
         for mu in np.linspace(-3.0, -0.5, 251):
             rep = thermo.thermodynamic_extrapolation(
                 thermo.free_fermion_energy_map(mu, 1.0),
@@ -242,8 +249,15 @@ class TestCliContract:
             )
             closed = thermo.free_fermion_energy_density(mu, 1.0)
             worst = max(worst, abs(rep.e_infinity - closed) / abs(closed))
+            radius = THERMO_LIMIT_SCALES * math.sqrt(2.0 * abs(mu)) / math.pi
+            boundary = abs(mu) / 8.0 * (
+                1.5 * math.pi * radius**2 - 4.0 * radius + 1.0
+            )
+            bulk = np.mean(rep.densities - boundary / THERMO_LIMIT_SCALES**3)
+            worst_oracle = max(worst_oracle, abs(bulk - closed) / abs(closed))
         assert len(THERMO_LIMIT_SCALES) == 41
         assert worst < 0.01
+        assert worst_oracle < 1e-3
 
     def test_thermo_limit_csv_schema(self, tmp_path):
         out = tmp_path / "thermo.csv"

@@ -6,14 +6,12 @@ import pytest
 from coulomblab.coulomb import ChargeConfiguration
 from coulomblab.errors import DegenerateSimplexError
 from coulomblab.grafschenker import (
-    IsometrySample,
     Simplex,
     random_rotations,
     estimate_radial_kernel,
     gs_positive_type_check,
     overlap_kernel,
     regular_tetrahedron,
-    sample_isometry,
     sliding_inequality_experiment,
 )
 
@@ -34,16 +32,15 @@ class TestSimplex:
 
 class TestIsometrySampling:
     def test_deterministic_given_seed(self):
-        lo, hi = -np.ones(3), np.ones(3)
-        a = sample_isometry(np.random.default_rng(9), lo, hi)
-        b = sample_isometry(np.random.default_rng(9), lo, hi)
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
+        a = random_rotations(np.random.default_rng(9), 64)
+        b = random_rotations(np.random.default_rng(9), 64)
+        assert np.array_equal(a, b)
 
     def test_rotation_is_orthogonal(self):
-        s = sample_isometry(np.random.default_rng(1), -np.ones(3), np.ones(3))
-        assert np.allclose(s.rotation @ s.rotation.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(s.rotation) == pytest.approx(1.0, abs=1e-12)
+        rots = random_rotations(np.random.default_rng(1), 1000)
+        gram = np.einsum("mji,mjk->mik", rots, rots)
+        assert np.abs(gram - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(rots) - 1.0).max() <= 1e-12
 
     def test_haar_mean_is_zero(self):
         rots = random_rotations(np.random.default_rng(SEED), 100000)
@@ -58,10 +55,6 @@ class TestIsometrySampling:
         cdf_exact = (grid - np.sin(grid)) / math.pi
         cdf_emp = np.searchsorted(np.sort(angles), grid) / angles.size
         assert np.abs(cdf_emp - cdf_exact).max() < 0.01
-
-    def test_invalid_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            IsometrySample(np.eye(3) * 1.001, np.zeros(3))
 
 
 class TestOverlapKernel:
@@ -233,3 +226,29 @@ class TestSlidingInequality:
             )
             d_all.extend(rep.d_values.tolist())
         assert max(d_all) < 10.0
+
+
+class TestPinnedStreams:
+    def test_estimates_pinned_across_batch_boundary(self):
+        # 70,000 and 40,000 samples cross the 65,536 and 32,768 isometry
+        # batches; the literals fix how both random streams are consumed
+        simp = regular_tetrahedron()
+        est, err = overlap_kernel(
+            np.zeros(3), np.array([0.8, 0.0, 0.0]), simp, 3.0, 70000, seed=SEED
+        )
+        assert est == 0.31429712026925666
+        assert err == pytest.approx(0.009155314108085703, rel=1e-14)
+
+        config = ChargeConfiguration(
+            [[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.7, 0.0], [0.3, 0.3, 0.5]],
+            [1.0, -1.0, -1.0, 1.0], ("plus", "minus", "minus", "plus"),
+        )
+        rep = sliding_inequality_experiment(
+            config, simp, np.array([2.0, 5.0]), 40000, seed=SEED
+        )
+        assert [r.estimate for r in rep.rows] == [
+            -0.7873320362471841, -2.1693640584143448,
+        ]
+        assert [r.std_error for r in rep.rows] == pytest.approx(
+            [0.03728638498595785, 0.053296860378819], rel=1e-14
+        )

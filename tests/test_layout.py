@@ -34,6 +34,26 @@ def test_no_private_attributes_read_across_objects():
     assert not offenders, offenders
 
 
+def test_all_names_exist():
+    # every name a module exports is bound by a def, class or assignment at
+    # its top level, so deleting a function without its __all__ entry fails
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined.update(names)
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        missing += [f"{path.name}: {name}" for name in exported if name not in defined]
+    assert not missing, missing
+
+
 def _imported_modules():
     """(file name, module) for every absolute import in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
