@@ -7,18 +7,17 @@ interactions one-sided, which yields the classic Onsager-style bound
 
     V_C >= -(12/5) sum_j Q_j^2 / delta_j.
 
-Disjoint balls interact exactly like points, so numerical work is needed
-only for overlapping same-species pairs.  Their interaction is one radial
-integral whose integrand is piecewise polynomial of degree <= 5 between
-breakpoints known in advance; a 3-node Gauss-Legendre rule per piece is
-exact for degree 5, so it gives the interaction to rounding
-(``smeared_pair_interaction`` for one pair, ``smeared_pair_interactions``
-for arrays of pairs, which the bound chain uses).
+Disjoint balls interact exactly like points, so only overlapping
+same-species pairs need more.  Their interaction is a short closed form:
+the mean of the larger ball's quadratic inside potential over the smaller
+ball, plus the excess of 1/r over it on the smaller ball's cap outside the
+larger one (``smeared_pair_interaction`` for one pair,
+``smeared_pair_interactions`` for arrays of pairs, which the bound chain
+uses).
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 COINCIDENCE_REL_TOL = 1e-12
-
-# 3-node Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 5
-_GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
-_GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
@@ -198,61 +193,40 @@ def smeared_self_energy(delta: float) -> float:
     return 12.0 / (5.0 * delta)
 
 
-def _inside_antiderivative(x, delta):
-    """(3 x^2 / 2 - x^4 / delta^2) / delta, the antiderivative of t W(t) in the ball.
+def _overlap_interaction(a, b, d, s, d_cap):
+    """Interaction of overlapping normalized balls of radii a >= b at separation d.
 
-    Plain products only, here and in ``_nested_integrand``, so that a float
-    and an array element round identically.
+    s = max(0, d + b - a) is the depth by which ball b pokes out of ball a,
+    and d_cap equals d wherever s > 0 (any positive value elsewhere).  The
+    first term is the mean of ball a's inside potential (3 a^2 - r^2)/(2 a^3)
+    over ball b; the second adds the excess of 1/r over that quadratic on the
+    cap of ball b outside ball a, and vanishes with s.  Plain products only,
+    so that a float and an array element round identically.
     """
-    x2 = x * x
-    return (1.5 * x2 - x2 * x2 / (delta * delta)) / delta
-
-
-def _antiderivative(x: float, delta: float) -> float:
-    """Antiderivative of t W_delta(t), continued linearly outside the ball."""
-    a = delta / 2.0
-    if x <= a:
-        return _inside_antiderivative(x, delta)
-    return 5.0 * delta / 16.0 + (x - a)
-
-
-def _ball_potential_antiderivative(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """``_antiderivative`` elementwise."""
-    a = delta / 2.0
-    return np.where(x <= a, _inside_antiderivative(x, delta), 5.0 * delta / 16.0 + (x - a))
-
-
-def _nested_integrand(s, d, delta):
-    """s^2 times the mean of W over a sphere of radius s at distance d from its centre.
-
-    Valid while d + s <= delta/2: there W = (3 - 4 r^2 / delta^2) / delta and
-    the mean of r^2 over the sphere is s^2 + d^2.  This is the antiderivative
-    difference in closed form, free of its cancellation as d -> 0.
-    """
+    a3 = a * a * a
     s2 = s * s
-    return s2 * (3.0 - 4.0 * (s2 + d * d) / (delta * delta)) / delta
+    cap = s2 * s2 * (30.0 * a * b - 6.0 * (a - b) * s - s2)
+    return ((3.0 * a * a - d * d - 0.6 * b * b) / (2.0 * a3)
+            + cap / (160.0 * a3 * b * b * b * d_cap))
 
 
 def smeared_pair_interaction(delta_i: float, delta_j: float, d: float) -> float:
     """Coulomb interaction of two normalized uniform balls at separation d.
 
     Disjoint balls (d >= (delta_i + delta_j)/2) interact exactly like point
-    charges, 1/d.  Overlapping balls are reduced to one radial integral over
-    the smaller ball, radius a_j, of s^2 times the mean of the larger ball's
-    potential W over the sphere of radius s centred at distance d:
+    charges, 1/d.  Overlapping balls, radii a >= b, take the closed form
 
-        (3 / a_j^3) int_0^{a_j} s [P(d + s) - P(|d - s|)] / (2 d) ds,
+        (3 a^2 - d^2 - 3 b^2 / 5) / (2 a^3)
+            + s^4 (30 a b - 6 (a - b) s - s^2) / (160 a^3 b^3 d),
 
-    with P the antiderivative of t W(t): even and of degree 4 inside the
-    larger ball (radius a_i >= a_j), linear outside.  Between the points where
-    d + s or |d - s| crosses a_i the integrand is therefore a polynomial of
-    degree <= 5, which the 3-node Gauss-Legendre rule integrates exactly.
-    Because a_i >= a_j, the only such point inside (0, a_j) is s = |d - a_i|,
-    so there are at most two pieces.  Where the whole sphere lies inside the
-    larger ball (d + s <= a_i) the integrand is evaluated in its closed form
-    s^2 (3 - 4 (s^2 + d^2) / delta_i^2) / delta_i, which also covers d = 0.
+    with s = max(0, d + b - a): the mean of the larger ball's quadratic
+    inside potential over the smaller ball, plus the excess of 1/r over it
+    on the cap of the smaller ball that lies outside the larger one.  The
+    cap term vanishes when the smaller ball is nested (s = 0), which covers
+    d = 0; it is continuous at d = a - b and meets 1/d at d = a + b.
 
-    ``smeared_pair_interactions`` evaluates the same nodes on arrays of pairs.
+    ``smeared_pair_interactions`` evaluates the same expression on arrays of
+    pairs.
     """
     if delta_i <= 0 or delta_j <= 0:
         raise ValueError("smearing diameters must be positive")
@@ -260,28 +234,10 @@ def smeared_pair_interaction(delta_i: float, delta_j: float, d: float) -> float:
         raise ValueError("separation must be nonnegative")
     if d >= (delta_i + delta_j) / 2.0:
         return 1.0 / d
-    # integrate over the smaller ball
-    if delta_j > delta_i:
-        delta_i, delta_j = delta_j, delta_i
-    a_i = delta_i / 2.0
-    a_j = delta_j / 2.0
-    cut = abs(d - a_i)
-    ends = (0.0, cut, a_j) if 0.0 < cut < a_j else (0.0, a_j)
-    total = 0.0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        piece = 0.0
-        for x, w in zip(_GL3_NODES, _GL3_WEIGHTS):
-            s = mid + half * x
-            if d + s <= a_i:
-                f = _nested_integrand(s, d, delta_i)
-            else:
-                f = s * (_antiderivative(d + s, delta_i)
-                         - _antiderivative(abs(d - s), delta_i)) / (2.0 * d)
-            piece += w * f
-        total += half * piece
-    return 3.0 / (a_j * a_j * a_j) * total
+    a = max(delta_i, delta_j) / 2.0
+    b = min(delta_i, delta_j) / 2.0
+    s = max(0.0, d + b - a)
+    return _overlap_interaction(a, b, d, s, d if s > 0.0 else 1.0)
 
 
 def smeared_pair_interactions(
@@ -289,43 +245,20 @@ def smeared_pair_interactions(
 ) -> np.ndarray:
     """``smeared_pair_interaction`` on arrays of overlapping pairs.
 
-    Every pair must overlap, d < (delta_i + delta_j)/2.  Each pair gets the
-    scalar form's two pieces and 3 nodes per piece, a missing breakpoint
-    collapsing the second piece onto a_j, in the same order of operations,
-    so the two forms return the same floats.
+    Every pair must overlap, d < (delta_i + delta_j)/2.  Both forms evaluate
+    one shared expression, so they return the same floats.
     """
     delta_i, delta_j, d = np.broadcast_arrays(
         np.asarray(delta_i, dtype=float), np.asarray(delta_j, dtype=float),
         np.asarray(d, dtype=float))
-    big = np.maximum(delta_i, delta_j)
-    small = np.minimum(delta_i, delta_j)
-    if not (np.all(small > 0) and np.all(d >= 0)):
+    a = np.maximum(delta_i, delta_j) / 2.0
+    b = np.minimum(delta_i, delta_j) / 2.0
+    if not (np.all(b > 0) and np.all(d >= 0)):
         raise ValueError("diameters must be positive and separations nonnegative")
     if not np.all(d < 0.5 * (delta_i + delta_j)):
         raise ValueError("every pair must overlap; disjoint balls interact as 1/d")
-    a_i = big / 2.0
-    a_j = small / 2.0
-    cut = np.abs(d - a_i)
-    cut = np.where((cut > 0.0) & (cut < a_j), cut, a_j)
-    # (pairs, piece, node)
-    lo = np.stack([np.zeros_like(cut), cut], axis=-1)[..., None]
-    hi = np.stack([cut, a_j], axis=-1)[..., None]
-    half = 0.5 * (hi - lo)
-    s = 0.5 * (hi + lo) + half * np.asarray(_GL3_NODES)
-    delta = big[..., None, None]
-    sep = d[..., None, None]
-    nested = sep + s <= a_i[..., None, None]
-    # d > 0 wherever the sphere leaves the larger ball
-    div = np.where(nested, 1.0, sep)
-    f = np.where(
-        nested,
-        _nested_integrand(s, sep, delta),
-        s * (_ball_potential_antiderivative(sep + s, delta)
-             - _ball_potential_antiderivative(np.abs(sep - s), delta)) / (2.0 * div),
-    )
-    w0, w1, w2 = _GL3_WEIGHTS
-    piece = half[..., 0] * (w0 * f[..., 0] + w1 * f[..., 1] + w2 * f[..., 2])
-    return 3.0 / (a_j * a_j * a_j) * (piece[..., 0] + piece[..., 1])
+    s = np.maximum(d + b - a, 0.0)
+    return _overlap_interaction(a, b, d, s, np.where(s > 0.0, d, 1.0))
 
 
 def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
@@ -389,8 +322,6 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
         },
         provenance={"n_particles": n},
     )
-
-
 
 
 def random_neutral_configuration(

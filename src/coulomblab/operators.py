@@ -289,10 +289,12 @@ def curl(a: PeriodicField) -> np.ndarray:
     """B = curl A computed spectrally, shape (3, n, n, n), real."""
     if a.components != 3:
         raise ValueError("curl needs a vector field")
-    # p[j, c] = -i d_j A_c, so (curl A)_i = d_j A_k - d_k A_j
-    # = -Im(p[j, k] - p[k, j]) for cyclic (i, j, k)
-    p = _covariant(a.data.real, None, 0.0, a.box_len)
-    return np.stack([-(p[j, k] - p[k, j]).imag for j, k in ((1, 2), (2, 0), (0, 1))])
+    # p[c] = -i (d_{c+1} A_c, d_{c+2} A_c), axes mod 3: each component only
+    # along the two axes the curl reads, so (curl A)_i = d_j A_k - d_k A_j
+    # = -Im(p[k][1] - p[j][0]) for cyclic (i, j, k)
+    p = [_covariant(a.data.real[c:c + 1], None, 0.0, a.box_len,
+                    axes=((c + 1) % 3, (c + 2) % 3))[:, 0] for c in range(3)]
+    return np.stack([-(p[k][1] - p[j][0]).imag for j, k in ((1, 2), (2, 0), (0, 1))])
 
 
 @dataclass
@@ -369,7 +371,7 @@ def read_field(path: str) -> PeriodicField:
     return PeriodicField(box_len, raw.reshape(comps, n, n, n).astype(complex))
 
 
-def envelope_window(n: int, box_len: float, width_frac: float = 0.18) -> np.ndarray:
+def envelope_window(n: int, width_frac: float = 0.18) -> np.ndarray:
     """Super-Gaussian centered bump, below 1e-8 on the box boundary."""
     x = (np.arange(n) + 0.5) / n - 0.5
     r2 = (
@@ -402,7 +404,7 @@ def random_band_limited_field(
     if real:
         data = data.real.astype(complex)
     if windowed:
-        data *= envelope_window(n, box_len)
+        data *= envelope_window(n)
     return PeriodicField(box_len, data)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def gauss48_pair_interaction(delta_i, delta_j, d):
         s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
         total += 0.5 * (hi - lo) * float(np.dot(_GAUSS_WEIGHTS, mean_times_s2(s)))
     return (3.0 / a_j**3) * total
+
+
+def exact_pair_interaction(delta_i, delta_j, d):
+    """The overlapping-ball closed form in exact rational arithmetic.
+
+    The float inputs are taken exactly, so the only error left in a kernel
+    compared against this is its own rounding.
+    """
+    a = Fraction(max(delta_i, delta_j)) / 2
+    b = Fraction(min(delta_i, delta_j)) / 2
+    d = Fraction(d)
+    s = max(Fraction(0), d + b - a)
+    u = (3 * a**2 - d**2 - Fraction(3, 5) * b**2) / (2 * a**3)
+    if s > 0:
+        u += s**4 * (30 * a * b - 6 * (a - b) * s - s**2) / (160 * a**3 * b**3 * d)
+    return u
 
 
 def overlapping_pairs(rng, n):
@@ -273,7 +290,7 @@ class TestSmearedEnergies:
         vector = smeared_pair_interactions(delta_i, delta_j, d)
         assert np.max(np.abs(vector / want - 1.0)) <= 1e-14
 
-    def test_three_nodes_match_48_node_oracle(self):
+    def test_closed_form_matches_48_node_oracle(self):
         delta_i, delta_j, d = overlapping_pairs(np.random.default_rng(23), 2400)
         oracle = np.array([gauss48_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
         scalar = np.array([smeared_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
@@ -292,7 +309,33 @@ class TestSmearedEnergies:
         delta_i, delta_j, d = overlapping_pairs(np.random.default_rng(29), 2000)
         scalar = np.array([smeared_pair_interaction(*p) for p in zip(delta_i, delta_j, d)])
         vector = smeared_pair_interactions(delta_i, delta_j, d)
-        assert np.max(np.abs(vector / scalar - 1.0)) <= 1e-15
+        assert np.array_equal(vector, scalar)
+
+    def test_rounding_against_exact_arithmetic(self):
+        # the regimes where a quadrature or a rearranged form loses digits:
+        # a small ball at the surface of a large one, near-equal balls at
+        # tiny separation, and pairs near touching
+        rng = np.random.default_rng(41)
+        n = 600
+        big = rng.uniform(0.1, 5.0, (3, n))
+        small_ratio = 10.0 ** rng.uniform(-6.0, -1.0, n)
+        near_equal = 1.0 - 10.0 ** rng.uniform(-16.0, -3.0, n)
+        ratio = rng.uniform(1e-6, 1.0, n)
+        delta_j = big * np.stack([small_ratio, near_equal, ratio])
+        surface = 0.5 * (big[0] + delta_j[0] * rng.uniform(-1.0, 1.0, n))
+        tiny = big[1] * 10.0 ** rng.uniform(-12.0, -1.0, n)
+        touching = 0.5 * (big[2] + delta_j[2]) * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0, n))
+        for delta_i, delta_j, d in zip(big, delta_j, (surface, tiny, touching)):
+            assert np.all(d < 0.5 * (delta_i + delta_j))
+            flip = rng.random(len(d)) < 0.5
+            delta_i[flip], delta_j[flip] = delta_j[flip], delta_i[flip]
+            want = np.array([float(exact_pair_interaction(*p))
+                             for p in zip(delta_i, delta_j, d)])
+            scalar = np.array([smeared_pair_interaction(*p)
+                               for p in zip(delta_i, delta_j, d)])
+            vector = smeared_pair_interactions(delta_i, delta_j, d)
+            assert np.max(np.abs(scalar / want - 1.0)) <= 4e-15
+            assert np.array_equal(vector, scalar)
 
     def test_vector_form_rejects_disjoint_and_bad_pairs(self):
         with pytest.raises(ValueError):

@@ -87,12 +87,30 @@ def test_no_module_imports_mpmath_or_scipy_special():
     assert not offenders, offenders
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _probe(code):
+    """stdout of `code` run in a fresh interpreter that imports from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
-    probe = "import sys, coulomblab.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    probe = "import sys, coulomblab.cli; print('scipy.stats' in sys.modules)"
+    assert _probe(probe).strip() == "False"
+
+
+def test_cli_import_loads_every_module():
+    # benchmarks/run.py:import_times reads `python -X importtime -c "import
+    # coulomblab.cli"` and emits one import.<module>_ms metric per module that
+    # import loads; the benchmark declares one for each of the package's
+    # modules, so a module the import skips leaves a declared metric unreported
+    probe = ("import sys, coulomblab.cli; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('coulomblab.'))))")
+    modules = sorted(f"coulomblab.{p.stem}" for p in PACKAGE.glob("*.py")
+                     if p.stem != "__init__")
+    assert len(modules) == 11
+    assert _probe(probe).split() == modules

@@ -87,7 +87,7 @@ class TestKineticForm:
 class TestDiamagnetic:
     def test_real_positive_no_field_equality(self):
         n = 32
-        f = PeriodicField(BOX, envelope_window(n, BOX)[None].astype(complex))
+        f = PeriodicField(BOX, envelope_window(n)[None].astype(complex))
         lhs, mid, _ = diamagnetic_sobolev_check(f, None, 0.0)
         assert lhs == pytest.approx(mid, rel=1e-10)
 
@@ -207,7 +207,7 @@ class TestSchroedingerBound:
         forms = []
         bounds = []
         for w in (0.6, 1.0, 1.6, 2.4):
-            g = np.exp(-r2 / (2 * w**2)) * envelope_window(n, box, 0.2)
+            g = np.exp(-r2 / (2 * w**2)) * envelope_window(n, 0.2)
             f = PeriodicField(box, g[None].astype(complex))
             quad_form, bound = schroedinger_lower_bound_eval(f, None, v1, v2)
             norm = grid_integral(np.abs(f.data[0]) ** 2, f)
@@ -286,6 +286,25 @@ class TestLichnerowicz:
         order23 = math.log(residuals[1] / residuals[2]) / math.log(32.0 / 24.0)
         assert order12 >= 2.0
         assert order23 >= 2.0
+
+    def test_inverse_fft_count(self, monkeypatch):
+        # 6 for D psi, 6 for D (sigma.D psi), 6 for the diagonal D_j D_j psi
+        # and 6 for curl A, which differentiates each component of A only
+        # along the two axes the curl reads
+        rng = np.random.default_rng(SEED)
+        n = 16
+        psi = random_band_limited_field(rng, n, BOX, components=2, k_shells=2)
+        a = random_band_limited_field(rng, n, BOX, components=3, k_shells=2, real=True)
+        calls = []
+        ifftn = np.fft.ifftn
+
+        def counting_ifftn(*args, **kwargs):
+            calls.append(1)
+            return ifftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
+        lichnerowicz_check(psi, a, 1.1)
+        assert len(calls) == 24
 
     def test_unresolved_potential_rejected(self):
         rng = np.random.default_rng(SEED)
