@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, TruncationError
 from .numerics import PsdMatrix, RadialGridFunction, psd_sqrt
@@ -469,6 +467,8 @@ def compute_I0() -> tuple[float, float]:
     route checked in semiclassical_p_integral, so it serves as the package's
     working constant.
     """
+    from scipy.integrate import quad
+
     x_break = 40.0
     core, _ = quad(_i0_integrand, 0.0, x_break, epsabs=1e-15, epsrel=1e-13, limit=200)
     # integrand = 1/(2x^4) - 1/(2x^8) + O(x^-12) beyond the break
@@ -493,6 +493,8 @@ def semiclassical_p_integral(density: float, big_n: float) -> float:
     """
     if density <= 0 or big_n <= 0:
         raise ValueError("density and N must be positive")
+    from scipy.integrate import IntegrationWarning, quad
+
     a = big_n * density
     scale = (8.0 * math.pi * a) ** 0.25
 
@@ -588,6 +590,8 @@ def dyson_variational_solve(
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
     virial identity K = (3/4) I0 P at the minimizer, reported as a residual.
     """
+    from scipy.linalg import solve_banded
+
     if i0 is None:
         i0 = working_i0()
     r = np.linspace(0.0, r_max, grid_n + 1)

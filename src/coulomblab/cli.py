@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bogoliubov, coulomb, grafschenker, instability, liebthirring
 from . import errors, operators, thermo
+from .numerics import KineticProfile, legendre_transform
 from .report import dumps_canonical, rows_to_csv
 
 DEFAULT_SEED = 137
@@ -376,8 +377,6 @@ def _run_sobolev(cfg: RunConfig) -> int:
 
 
 def _run_legendre(cfg: RunConfig) -> int:
-    from .numerics import KineticProfile, legendre_transform
-
     p = np.linspace(-3.0, 3.0, 2001)
     nonrel = KineticProfile("nonrelativistic", 1.0)
     rel = KineticProfile("relativistic", 1.0)

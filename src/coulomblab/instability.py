@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .liebthirring import lowest_cube_mode_energies
 from .report import EnergyReport
@@ -91,6 +90,8 @@ def relativistic_kinetic_expectation(mass: float, sigma: float) -> float:
     """
     if mass < 0 or sigma <= 0:
         raise ValueError("mass must be >= 0 and sigma positive")
+    from scipy.integrate import quad
+
     norm = (2.0 * math.pi * sigma**2) ** -1.5
 
     def integrand(p):

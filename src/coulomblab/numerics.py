@@ -10,10 +10,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConvexityError,
@@ -21,6 +20,9 @@ from .errors import (
     SlopeRangeError,
     TailError,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "RadialGridFunction",
@@ -74,6 +76,8 @@ class RadialGridFunction:
     @cached_property
     def spline(self) -> CubicSpline:
         """Cubic interpolant through the nodes, built once and cached."""
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.nodes, self.values, extrapolate=True)
 
     def __call__(self, r):
@@ -207,6 +211,8 @@ def radial_fourier_transform(f: RadialGridFunction, k: float) -> float:
         raise ValueError("k must be positive")
     if f.tail_exponent not in (None, -1.0):
         raise TailError("the radial transform takes no tail or the 1/r tail")
+
+    from scipy.integrate import IntegrationWarning, quad
 
     r_last = float(f.nodes[-1])
     spline = f.spline

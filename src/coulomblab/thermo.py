@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grafschenker import Simplex, SimplexTester, random_rotations, regular_tetrahedron
 from .liebthirring import classical_lt_constant, cube_mode_energies_below
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Domain",
@@ -237,6 +238,8 @@ def _symmetric_lu(a: sp.csc_matrix):
     alike and every pivot is taken on the diagonal, so U's diagonal holds
     the pivots D of P A P^T = L D L^T.
     """
+    from scipy.sparse.linalg import splu
+
     return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
@@ -249,6 +252,8 @@ def _modes_below(ham: sp.csc_matrix, threshold: float) -> int:
     When threshold is an eigenvalue and a pivot vanishes exactly, the count
     falls back to 0 and the eigensolve's retry finds the size.
     """
+    import scipy.sparse as sp
+
     shifted = ham - threshold * sp.identity(ham.shape[0], format="csc")
     try:
         pivots = _symmetric_lu(shifted).U.diagonal()
@@ -282,6 +287,9 @@ def rasterized_dirichlet_energy(
     n_sites = int(np.count_nonzero(mask))
     if n_sites == 0:
         return 0.0
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     # the raster Laplacian is the principal submatrix, on the inside sites,
     # of the bounding-box lattice Laplacian: the kron sum of three 1-D second

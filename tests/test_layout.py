@@ -1,5 +1,6 @@
 """Package layout rules that no functional test would notice breaking."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +75,7 @@ def _importers_of(package):
 
 
 def test_no_module_imports_scipy_optimize():
+    # scipy loads only inside the functions that call it, and there
     # scipy.integrate loads scipy.optimize itself, so only the source can
     # tell whether a module imports it
     offenders = _importers_of("scipy.optimize")
@@ -81,8 +83,9 @@ def test_no_module_imports_scipy_optimize():
 
 
 def test_no_module_imports_mpmath_or_scipy_special():
-    # the 1/r tail and log n! need neither; scipy.integrate still loads
-    # scipy.special, so again only the source can tell
+    # the 1/r tail and log n! need neither; a function that calls quad still
+    # loads scipy.special through scipy.integrate, so again only the source
+    # can tell
     offenders = _importers_of("mpmath") + _importers_of("scipy.special")
     assert not offenders, offenders
 
@@ -101,6 +104,39 @@ def _probe(code):
 def test_cli_import_leaves_scipy_stats_out():
     probe = "import sys, coulomblab.cli; print('scipy.stats' in sys.modules)"
     assert _probe(probe).strip() == "False"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported inside the functions that call it, so importing the
+    # package costs numpy only
+    probe = ("import sys, coulomblab.cli; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('scipy'))))")
+    assert _probe(probe).split() == []
+
+
+NUMPY_ONLY_SUBCOMMANDS = (
+    "fock-oracle", "onsager-check", "lt-box", "stability-constant",
+    "graf-schenker", "thermo-limit", "fermi-collapse", "lichnerowicz",
+    "sobolev", "legendre",
+)
+
+
+def test_numpy_only_subcommands_leave_scipy_out():
+    # each subcommand runs at its defaults in one interpreter; the probe
+    # records the scipy modules loaded by the time each one has finished, so
+    # the first subcommand to import scipy is the first one named
+    probe = f"""
+import contextlib, io, json, sys
+from coulomblab.cli import main
+loaded = {{}}
+for sub in {NUMPY_ONLY_SUBCOMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main([sub])
+    loaded[sub] = [status] + sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps(loaded))
+"""
+    loaded = json.loads(_probe(probe).splitlines()[-1])
+    assert loaded == {sub: [0] for sub in NUMPY_ONLY_SUBCOMMANDS}
 
 
 def test_cli_import_loads_every_module():

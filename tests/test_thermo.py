@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from coulomblab import thermo
 from coulomblab.grafschenker import regular_tetrahedron
@@ -180,7 +181,7 @@ class TestRasterEigensolve:
     def test_inertia_count_sizes_a_single_eigsh_call(self, monkeypatch):
         side, mu, m, h = self.MANY
         counts, ks = [], []
-        count_modes, eigsh = thermo._modes_below, thermo.eigsh
+        count_modes, eigsh = thermo._modes_below, scipy.sparse.linalg.eigsh
 
         def spy_count(ham, threshold):
             counts.append(count_modes(ham, threshold))
@@ -191,7 +192,7 @@ class TestRasterEigensolve:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(thermo, "_modes_below", spy_count)
-        monkeypatch.setattr(thermo, "eigsh", spy_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
         got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
         w = lattice_box_spectrum(side, h, m)
         filled = w[w < -mu]
