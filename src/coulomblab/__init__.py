@@ -5,7 +5,7 @@ Subpackages map one-to-one onto the experiment families:
 - ``numerics``: grids, Legendre and radial Fourier transforms, PSD matrices.
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
-- ``grafschenker``: simplex-averaged Coulomb restrictions by Monte Carlo.
+- ``grafschenker``: simplex-averaged Coulomb restrictions over sampled rotations.
 - ``thermo``: energy-map axioms and thermodynamic-limit extrapolation.
 - ``operators``: spectral-grid magnetic forms and the Pauli square identity.
 - ``instability``: relativistic and attractive-potential collapse scans.

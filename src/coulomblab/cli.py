@@ -45,24 +45,6 @@ DEFAULT_TOLERANCES = {
 # oscillations of the filled mode count, which a handful of sides can alias
 THERMO_LIMIT_SCALES = np.linspace(12.0, 32.0, 41)
 
-SUBCOMMANDS = (
-    "i0",
-    "dyson-solve",
-    "dyson-pipeline",
-    "fock-oracle",
-    "onsager-check",
-    "lt-box",
-    "stability-constant",
-    "graf-schenker",
-    "thermo-limit",
-    "rel-collapse",
-    "fermi-collapse",
-    "lichnerowicz",
-    "sobolev",
-    "legendre",
-)
-
-
 @dataclass
 class RunConfig:
     seed: int = DEFAULT_SEED
@@ -406,6 +388,7 @@ _RUNNERS = {
     "sobolev": _run_sobolev,
     "legendre": _run_legendre,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

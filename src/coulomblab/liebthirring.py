@@ -128,6 +128,11 @@ def box_kinetic_lower_bound(n: int, volume: float, p: LtParameters) -> float:
     return 0.6 * n * v_star
 
 
+def _well_constant(p: LtParameters) -> float:
+    """C (2m)^(3/2) nu (12/5)^(5/2) 8 pi: the attraction-well factor of q^5."""
+    return p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
+
+
 def opposite_charge_potential_bound(
     n_opposite: int, volume: float, q: float, p: LtParameters
 ) -> tuple[float, float]:
@@ -147,8 +152,7 @@ def opposite_charge_potential_bound(
         raise ValueError("inputs must be positive")
     r_star = (5.0 * volume / n_opposite) ** (1.0 / 3.0)
     minimum = n_opposite * math.sqrt(r_star) + volume * r_star ** (-2.5)
-    const = p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
-    return r_star, -const * q**5 * minimum
+    return r_star, -_well_constant(p) * q**5 * minimum
 
 
 def _density_coefficients(
@@ -162,17 +166,7 @@ def _density_coefficients(
         return 0.6 * 0.4 ** (2.0 / 3.0) * (p.C_lt * p.nu) ** (-2.0 / 3.0) / (2.0 * p.m)
 
     def c2(p: LtParameters, q: float) -> float:
-        sixth = 6.0 * 5.0 ** (-5.0 / 6.0)
-        return (
-            p.C_lt
-            * (2.0 * p.m) ** 1.5
-            * p.nu
-            * (12.0 / 5.0) ** 2.5
-            * 8.0
-            * math.pi
-            * q**5
-            * sixth
-        )
+        return _well_constant(p) * q**5 * (6.0 * 5.0 ** (-5.0 / 6.0))
 
     return c1(p_plus), c1(p_minus), c2(p_plus, s.Q_plus), c2(p_minus, s.Q_minus)
 

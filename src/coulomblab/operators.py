@@ -195,9 +195,8 @@ def diamagnetic_sobolev_check(
     """
     c_test = sobolev_test_constant()
     _check_boundary_support(f)
-    lhs = grid_integral(
-        (np.abs(covariant_derivative(f, a, q)) ** 2).sum(axis=0), f
-    )
+    # at m = 1/2 the kinetic form is int |(-i grad + qA) f|^2 itself
+    lhs = magnetic_kinetic_quadratic_form(f, a, q, 0.5)
     eps = 1e-10 * float(np.abs(f.data).max())
     absf = np.sqrt(np.abs(f.data[:1]) ** 2 + eps**2)
     grad_absf = _covariant(absf, None, 0.0, f.box_len)
@@ -247,9 +246,7 @@ def schroedinger_lower_bound_eval(
     for v in (v1, v2):
         if np.any(v.data.real < -1e-12) or np.abs(v.data.imag).max() > 1e-12:
             raise ValueError("potentials must be nonnegative real fields")
-    quad_form = grid_integral(
-        (np.abs(covariant_derivative(f, a, 1.0)) ** 2).sum(axis=0), f
-    )
+    quad_form = magnetic_kinetic_quadratic_form(f, a, 1.0, 0.5)
     dens = np.abs(f.data[0]) ** 2
     quad_form -= grid_integral((v1.data[0].real + v2.data[0].real) * dens, f)
     norm2 = grid_integral(dens, f)

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from coulomblab.coulomb import ChargeConfiguration
+from coulomblab.cli import DEFAULT_SEED, main
+from coulomblab.coulomb import ChargeConfiguration, random_neutral_configuration
 from coulomblab.errors import DegenerateSimplexError
 from coulomblab.grafschenker import (
     Simplex,
+    SimplexTester,
     random_rotations,
     estimate_radial_kernel,
     gs_positive_type_check,
@@ -16,6 +19,65 @@ from coulomblab.grafschenker import (
 )
 
 SEED = 137
+
+
+def covering_cell_average(points, weights, tester, samples, rng):
+    """Isometry average of 1/2 sum_ij 1[r_i in g] 1[r_j in g] W_ij with translations.
+
+    The oracle for the library's rotation-only estimator: translations are
+    drawn uniformly over the points' covering cell (the points inflated by
+    the simplex reach, outside which every indicator vanishes) and each
+    point is tested for containment.  Reported per unit |l simplex| with
+    its standard error.
+    """
+    lo = points.min(axis=0) - tester.reach
+    hi = points.max(axis=0) + tester.reach
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(32768, samples - done)
+        rots = random_rotations(rng, m)
+        trans = rng.uniform(lo, hi, size=(m, 3))
+        # map the points into the reference placement: R^T (p - t)
+        local = np.einsum("mji,mpj->mpi", rots, points[None] - trans[:, None])
+        inside = tester.contains(local).astype(float)
+        vals = 0.5 * np.einsum("mi,mj,ij->m", inside, inside, weights)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+        done += m
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0)
+    factor = float(np.prod(hi - lo)) / tester.volume
+    return factor * mean, factor * math.sqrt(var / samples)
+
+
+@pytest.fixture(scope="module")
+def phi_moments():
+    """<phi>, <phi^2>, <phi^3> over directions for the unit regular tetrahedron.
+
+    phi is the gauge of the difference body; a 2M-point Fibonacci rule on
+    the sphere integrates it, in blocks to keep the arrays small.
+    """
+    n = 2_000_000
+    tester = SimplexTester(regular_tetrahedron(), 1.0)
+    forms = np.vstack([tester.inv_edges, -tester.inv_edges.sum(axis=0)])
+    moments = np.zeros(3)
+    for start in range(0, n, 250_000):
+        k = np.arange(start, min(start + 250_000, n)) + 0.5
+        z = 1.0 - 2.0 * k / n
+        rho = np.sqrt(1.0 - z * z)
+        theta = math.pi * (3.0 - math.sqrt(5.0)) * k
+        w = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+        phi = 0.5 * np.abs(w @ forms.T).sum(axis=1)
+        moments += [phi.sum(), (phi**2).sum(), (phi**3).sum()]
+    return moments / n
+
+
+def cubic_kernel(x, moments):
+    """Exact g(x) = <(1 - x phi)^3> of the unit regular tetrahedron, x <= 1/sqrt 2."""
+    m1, m2, m3 = moments
+    return 1.0 - 3.0 * m1 * x + 3.0 * m2 * x**2 - m3 * x**3
 
 
 class TestSimplex:
@@ -228,16 +290,99 @@ class TestSlidingInequality:
         assert max(d_all) < 10.0
 
 
+@pytest.fixture(scope="module")
+def cli_defaults(tmp_path_factory):
+    """The graf-schenker artifact at default settings, with its configuration."""
+    out = tmp_path_factory.mktemp("gs") / "graf-schenker.json"
+    assert main(["graf-schenker", "--out", str(out)]) == 0
+    config = random_neutral_configuration(
+        np.random.default_rng(DEFAULT_SEED), n_min=6, n_max=10, box=2.0
+    )
+    return json.loads(out.read_text()), config
+
+
+class TestExactTranslationAverage:
+    def test_coincident_points_exact(self):
+        simp = regular_tetrahedron()
+        assert overlap_kernel(np.ones(3), np.ones(3), simp, 3.0, 5000, seed=SEED) == (
+            1.0, 0.0,
+        )
+
+    @pytest.mark.parametrize("x", [0.6, 1.2, 2.4])
+    def test_kernel_matches_covering_cell_oracle(self, x):
+        simp = regular_tetrahedron()
+        ell = 3.0
+        sep = np.array([x, 0.0, 0.0])
+        est, err = overlap_kernel(np.zeros(3), sep, simp, ell, 100000, seed=SEED)
+        ref, ref_err = covering_cell_average(
+            np.stack([np.zeros(3), sep]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+            SimplexTester(simp, ell), 200000, np.random.default_rng(SEED),
+        )
+        assert abs(est - ref) <= 4.0 * math.hypot(err, ref_err)
+
+    def test_sliding_matches_covering_cell_oracle(self):
+        simp = regular_tetrahedron()
+        config = random_neutral_configuration(
+            np.random.default_rng(SEED), n_min=6, n_max=10, box=2.0
+        )
+        ells = np.array([2.0, 8.0]) * config.diameter
+        rep = sliding_inequality_experiment(config, simp, ells, 20000, seed=SEED)
+        n = len(config)
+        dist = np.where(np.eye(n, dtype=bool), np.inf, config.pair_distances())
+        pair_matrix = np.outer(config.charges, config.charges) / dist
+        for idx, (ell, row) in enumerate(zip(ells, rep.rows)):
+            ref, ref_err = covering_cell_average(
+                config.positions, pair_matrix, SimplexTester(simp, ell), 40000,
+                np.random.default_rng([SEED, idx]),
+            )
+            assert abs(row.estimate - ref) <= 4.0 * math.hypot(row.std_error, ref_err)
+
+    def test_mean_gauge_is_cauchy_projection(self, phi_moments):
+        # <phi> = S / (12 V) by Cauchy's projection formula: sqrt(6)/2 at unit edge
+        assert abs(phi_moments[0] - math.sqrt(6.0) / 2.0) <= 1e-9
+
+    def test_kernel_is_the_exact_cubic(self, phi_moments):
+        # 1 <= phi <= sqrt 2, so (1 - x phi)_+^3 is untruncated for x <= 1/sqrt 2
+        simp = regular_tetrahedron()
+        ell = 3.0
+        for j, r in enumerate([0.3, 0.8, 1.5, 2.1]):
+            est, err = overlap_kernel(
+                np.zeros(3), np.array([0.0, r, 0.0]), simp, ell, 40000, seed=[SEED, j]
+            )
+            assert abs(est - cubic_kernel(r / ell, phi_moments)) <= 4.0 * err
+
+    def test_cli_d_values_match_the_exact_cubic(self, cli_defaults, phi_moments):
+        artifact, config = cli_defaults
+        i, j = np.triu_indices(len(config), k=1)
+        r = config.pair_distances()[i, j]
+        qq = config.charges[i] * config.charges[j]
+        exact = float(np.sum(qq / r))
+        sum_q2 = float(np.sum(config.charges**2))
+        for d, row in zip(artifact["D_values"], artifact["rows"]):
+            ell = row["ell"]
+            assert np.all(r / ell <= 1.0 / math.sqrt(2.0))
+            average = float(np.sum(qq * cubic_kernel(r / ell, phi_moments) / r))
+            sigma_d = row["std_error"] * ell / sum_q2
+            assert abs(d - (average - exact) * ell / sum_q2) <= 4.0 * sigma_d
+
+    def test_cli_d_values_resolved(self, cli_defaults):
+        artifact, config = cli_defaults
+        sum_q2 = float(np.sum(config.charges**2))
+        assert artifact["normalization_ok"] is True
+        for row in artifact["rows"]:
+            assert row["std_error"] * row["ell"] / sum_q2 <= 0.01
+
+
 class TestPinnedStreams:
     def test_estimates_pinned_across_batch_boundary(self):
-        # 70,000 and 40,000 samples cross the 65,536 and 32,768 isometry
-        # batches; the literals fix how both random streams are consumed
+        # 70,000 and 40,000 samples cross the 2,048 rotation batches; the
+        # literals fix how the random streams are consumed
         simp = regular_tetrahedron()
         est, err = overlap_kernel(
             np.zeros(3), np.array([0.8, 0.0, 0.0]), simp, 3.0, 70000, seed=SEED
         )
-        assert est == 0.31429712026925666
-        assert err == pytest.approx(0.009155314108085703, rel=1e-14)
+        assert est == 0.30679540149252194
+        assert err == pytest.approx(0.0001248615626622846, rel=1e-14)
 
         config = ChargeConfiguration(
             [[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.7, 0.0], [0.3, 0.3, 0.5]],
@@ -247,8 +392,8 @@ class TestPinnedStreams:
             config, simp, np.array([2.0, 5.0]), 40000, seed=SEED
         )
         assert [r.estimate for r in rep.rows] == [
-            -0.7873320362471841, -2.1693640584143448,
+            -0.8618041765703766, -2.143618752380143,
         ]
         assert [r.std_error for r in rep.rows] == pytest.approx(
-            [0.03728638498595785, 0.053296860378819], rel=1e-14
+            [0.0006666534197021516, 0.0005784461122575949], rel=1e-14
         )
