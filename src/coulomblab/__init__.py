@@ -2,7 +2,8 @@
 
 Subpackages map one-to-one onto the experiment families:
 
-- ``numerics``: grids, Legendre and radial Fourier transforms, PSD matrices.
+- ``numerics``: grids, the Gauss-Legendre panel rule, Legendre and radial
+  Fourier transforms, PSD matrices.
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
 - ``grafschenker``: simplex-averaged Coulomb restrictions over sampled rotations.

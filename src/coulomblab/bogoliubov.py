@@ -13,13 +13,12 @@ the solution reproduces the N^(7/5) law exactly at the discrete level.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, TruncationError
-from .numerics import PsdMatrix, RadialGridFunction, psd_sqrt
+from .numerics import PsdMatrix, RadialGridFunction, gauss_panels, psd_sqrt
 from .report import EnergyReport
 
 __all__ = [
@@ -410,6 +409,12 @@ def total_energy_expectation(
     )
 
 
+def _dispersion_e_min(tau, g):
+    # (sqrt(tau(tau+2g)) - tau - g)/2 rewritten with its conjugate; exact and
+    # free of cancellation since tau(tau+2g) - (tau+g)^2 = -g^2
+    return -0.5 * g * g / (np.sqrt(tau * (tau + 2.0 * g)) + tau + g)
+
+
 def bogoliubov_dispersion_min(tau: float, g: float) -> tuple[float, float]:
     """Pointwise minimum over f >= 0 of tau f + g (f - sqrt(f(f+1))).
 
@@ -425,10 +430,8 @@ def bogoliubov_dispersion_min(tau: float, g: float) -> tuple[float, float]:
         return 0.0, 0.0
     if tau == 0.0:
         return math.inf, -0.5 * g
-    disc = math.sqrt(tau * (tau + 2.0 * g))
-    f_star = 0.5 * ((tau + g) / disc - 1.0)
-    e_min = 0.5 * (disc - tau - g)
-    return f_star, e_min
+    f_star = 0.5 * ((tau + g) / math.sqrt(tau * (tau + 2.0 * g)) - 1.0)
+    return f_star, float(_dispersion_e_min(tau, g))
 
 
 def _i0_integrand(x: np.ndarray) -> np.ndarray:
@@ -442,8 +445,9 @@ def compute_I0() -> tuple[float, float]:
 
     Returns (quadrature, published):
 
-    quadrature: (2/pi)^(3/4) int_0^inf (1 + x^4 - x^2 sqrt(x^4+2)) dx with
-    the x^-4 power tail integrated analytically from its series;
+    quadrature: (2/pi)^(3/4) int_0^inf (1 + x^4 - x^2 sqrt(x^4+2)) dx by
+    gauss_panels on 24 geometric panels up to x = 40, with the x^-4 power
+    tail beyond integrated analytically from its series;
     published: 4^(5/4) Gamma(3/4) / (5 pi^(1/4) Gamma(5/4)), the closed form
     as stated in the literature.
 
@@ -467,10 +471,8 @@ def compute_I0() -> tuple[float, float]:
     route checked in semiclassical_p_integral, so it serves as the package's
     working constant.
     """
-    from scipy.integrate import quad
-
     x_break = 40.0
-    core, _ = quad(_i0_integrand, 0.0, x_break, epsabs=1e-15, epsrel=1e-13, limit=200)
+    core = gauss_panels(_i0_integrand, np.r_[0.0, np.geomspace(1e-3, x_break, 24)])
     # integrand = 1/(2x^4) - 1/(2x^8) + O(x^-12) beyond the break
     tail = 0.5 / (3.0 * x_break**3) - 0.5 / (7.0 * x_break**7)
     quadrature = (2.0 / math.pi) ** 0.75 * (core + tail)
@@ -486,31 +488,24 @@ def working_i0() -> float:
 def semiclassical_p_integral(density: float, big_n: float) -> float:
     """(2 pi)^-3 int e_min(p^2/2, 4 pi N rho / p^2) d^3p.
 
-    Radial quadrature against the dispersion minimum; the far tail behaves
-    like -8 pi^2 (N rho)^2 p^-6 and is added analytically.  The result
-    equals -I0 (N rho)^(5/4) and is cross-checked against compute_I0 by the
-    test suite rather than assumed here.
+    Radial quadrature against the dispersion minimum by gauss_panels on 40
+    geometric panels in units of the dispersion scale (8 pi N rho)^(1/4); the
+    far tail behaves like -8 pi^2 (N rho)^2 p^-6 and is added analytically.
+    The result equals -I0 (N rho)^(5/4) and is cross-checked against the
+    closed form of I0 by the test suite rather than assumed here.
     """
     if density <= 0 or big_n <= 0:
         raise ValueError("density and N must be positive")
-    from scipy.integrate import IntegrationWarning, quad
 
     a = big_n * density
     scale = (8.0 * math.pi * a) ** 0.25
 
     def integrand(p):
-        _, e = bogoliubov_dispersion_min(0.5 * p * p, 4.0 * math.pi * a / (p * p))
-        return p * p * e
+        return p * p * _dispersion_e_min(0.5 * p * p, 4.0 * math.pi * a / (p * p))
 
     p_break = 40.0 * scale
-    # the target sits near the roundoff floor; QUADPACK flags that while
-    # still delivering ~1e-11 relative accuracy, verified by the test suite
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        core, _ = quad(
-            integrand, 0.0, p_break, epsabs=0.0, epsrel=1e-11, limit=400,
-            points=[scale],
-        )
+    panels = np.r_[0.0, np.geomspace(1e-3 * scale, p_break, 40)]
+    core = gauss_panels(integrand, panels)
     c2 = 8.0 * math.pi**2 * a * a
     c3 = 64.0 * math.pi**3 * a**3
     tail = -c2 / (3.0 * p_break**3) + c3 / (7.0 * p_break**7)

@@ -325,6 +325,17 @@ class TestI0:
             assert r == pytest.approx(i0, rel=1e-6)
         assert max(ratios) - min(ratios) < 1e-6 * i0
 
+    def test_quadrature_float(self):
+        # the float that the i0 and dyson-* artifacts carry
+        assert compute_I0()[0] == 0.5744473532158539
+
+    def test_p_integral_matches_gamma_form(self):
+        i0 = 4.0**0.75 * math.gamma(0.75) / (5.0 * math.pi**0.25 * math.gamma(1.25))
+        for a in (1e-2, 0.3, 1.0, 7.0, 1e2, 1e4):
+            assert semiclassical_p_integral(a, 1.0) == pytest.approx(
+                -i0 * a**1.25, rel=1e-14
+            )
+
     def test_density_factorization(self):
         v1 = semiclassical_p_integral(2.0, 3.0)
         v2 = semiclassical_p_integral(3.0, 2.0)

@@ -76,17 +76,24 @@ def _importers_of(package):
 
 def test_no_module_imports_scipy_optimize():
     # scipy loads only inside the functions that call it, and there
-    # scipy.integrate loads scipy.optimize itself, so only the source can
+    # scipy.interpolate loads scipy.optimize itself, so only the source can
     # tell whether a module imports it
     offenders = _importers_of("scipy.optimize")
     assert not offenders, offenders
 
 
 def test_no_module_imports_mpmath_or_scipy_special():
-    # the 1/r tail and log n! need neither; a function that calls quad still
-    # loads scipy.special through scipy.integrate, so again only the source
-    # can tell
+    # the 1/r tail and log n! need neither; a function that builds a
+    # CubicSpline still loads scipy.special through scipy.interpolate, so
+    # again only the source can tell
     offenders = _importers_of("mpmath") + _importers_of("scipy.special")
+    assert not offenders, offenders
+
+
+def test_no_module_imports_scipy_integrate():
+    # every integral runs on numerics.gauss_panels, a fixed Gauss-Legendre
+    # rule on panels named in advance
+    offenders = _importers_of("scipy.integrate")
     assert not offenders, offenders
 
 
@@ -115,9 +122,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 NUMPY_ONLY_SUBCOMMANDS = (
-    "fock-oracle", "onsager-check", "lt-box", "stability-constant",
-    "graf-schenker", "thermo-limit", "fermi-collapse", "lichnerowicz",
-    "sobolev", "legendre",
+    "i0", "fock-oracle", "onsager-check", "lt-box", "stability-constant",
+    "graf-schenker", "thermo-limit", "rel-collapse", "fermi-collapse",
+    "lichnerowicz", "sobolev", "legendre",
 )
 
 
@@ -136,7 +143,8 @@ for sub in {NUMPY_ONLY_SUBCOMMANDS!r}:
 print(json.dumps(loaded))
 """
     loaded = json.loads(_probe(probe).splitlines()[-1])
-    assert loaded == {sub: [0] for sub in NUMPY_ONLY_SUBCOMMANDS}
+    # i0 exits 1 by design: the published closed form is twice the quadrature
+    assert loaded == {sub: [1 if sub == "i0" else 0] for sub in NUMPY_ONLY_SUBCOMMANDS}
 
 
 def test_cli_import_loads_every_module():

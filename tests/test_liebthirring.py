@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -17,9 +18,38 @@ from coulomblab.liebthirring import (
     lowest_cube_mode_energies,
     lt_rhs,
     opposite_charge_potential_bound,
-    semiclassical_phase_space_energy,
     stability_constant,
 )
+
+
+_PGAUSS_NODES, _PGAUSS_WEIGHTS = leggauss(8)
+
+
+def semiclassical_phase_space_energy(v, cell_volume, m):
+    """Classical energy of filled negative phase space, and its coefficient.
+
+    The oracle for classical_lt_constant.  Computes
+    int dr int_{p^2/2m - V(r) <= 0} (p^2/2m - V(r)) dp by a radial momentum
+    quadrature nested inside the grid sum over r, then extracts kappa from
+    value = -kappa m^(3/2) int V^(5/2).  The momentum integrand is a quartic
+    polynomial, so the fixed Gauss rule is exact.
+    """
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0):
+        raise ValueError("potential samples must be nonnegative")
+    norm52 = float(np.sum(v**2.5)) * cell_volume
+    if not np.isfinite(norm52):
+        raise ValueError("int V^(5/2) diverges on this grid")
+
+    p_max = np.sqrt(2.0 * m * v)
+    half = 0.5 * p_max
+    # nodes shape (n_samples, n_gauss)
+    pg = half[:, None] * (_PGAUSS_NODES[None, :] + 1.0)
+    inner = 4.0 * math.pi * pg**2 * (pg**2 / (2.0 * m) - v[:, None])
+    per_r = half * np.dot(inner, _PGAUSS_WEIGHTS)
+    value = float(per_r.sum()) * cell_volume
+    kappa = -value / (m**1.5 * norm52) if norm52 > 0 else 0.0
+    return value, kappa
 
 
 def midpoint_ball_grid(radius, n):

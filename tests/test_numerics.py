@@ -8,6 +8,7 @@ from coulomblab.numerics import (
     KineticProfile,
     PsdMatrix,
     RadialGridFunction,
+    gauss_panels,
     geometric_radial_grid,
     legendre_transform,
     psd_sqrt,
@@ -71,7 +72,29 @@ class TestLegendreTransform:
             legendre_transform(p, t, 1.5)
 
 
+class TestGaussPanels:
+    def test_degree_63_polynomial_on_uneven_panels(self):
+        rng = np.random.default_rng(5)
+        poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 64))
+        edges = [-1.0, -0.93, -0.2, 0.05, 0.06, 0.7, 1.0]
+        exact = poly.integ()(1.0) - poly.integ()(-1.0)
+        assert gauss_panels(poly, edges) == pytest.approx(exact, rel=1e-13)
+
+
 class TestRadialFourierTransform:
+    def test_cubic_bump_closed_form(self):
+        # the not-a-knot spline reproduces a cubic exactly, so the transform
+        # of (1 - r/R)^3 on [0, R] is exact up to the rule; the grid starts
+        # above 0, so the first piece's extension to 0 is a panel too
+        big_r = 2.0
+        r = geometric_radial_grid(1e-2, big_r, 60)
+        f = RadialGridFunction(r, (1.0 - r / big_r) ** 3)
+        for k in (1.0, 2.0, 3.7, 6.0, 9.0, 12.0):
+            x = k * big_r
+            expected = (24.0 * math.pi * (x * x + x * math.sin(x) + 4.0 * math.cos(x) - 4.0)
+                        / (big_r**3 * k**6))
+            assert radial_fourier_transform(f, k) == pytest.approx(expected, rel=1e-12)
+
     def test_gaussian_closed_form(self):
         r = np.concatenate([[0.0], geometric_radial_grid(1e-4, 12.0, 1800)])
         f = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
