@@ -27,6 +27,7 @@ __all__ = [
     "dirichlet_cube_kinetic_sum",
     "lowest_cube_mode_energies",
     "cube_mode_energies_below",
+    "ladder_levels_below",
 ]
 
 
@@ -221,6 +222,32 @@ def lowest_cube_mode_energies(
         cap = int(cap * 1.5) + 1
 
 
+def ladder_levels_below(
+    ladder: np.ndarray, scale: float, threshold: float, ndim: int = 3,
+    strict: bool = False,
+) -> np.ndarray:
+    """Sorted levels scale (l_a1 + ... + l_a_ndim) below `threshold`.
+
+    The l_a are the entries of a positive 1-D ladder; the index tuples
+    (a1, ..., a_ndim) run over all of them, or with `strict` over the
+    strictly increasing ones only (the antisymmetric sector).  Each sum is
+    scaled once, so an integer ladder sums exactly.  An entry with
+    scale l_a >= threshold is dropped before the enumeration: every sum that
+    holds it is at least l_a, in floating point too.  This is the package's
+    one enumeration of separable Dirichlet levels.
+    """
+    ladder = np.asarray(ladder)
+    ladder = ladder[scale * ladder < threshold]
+    if ladder.size == 0:
+        return np.empty(0)
+    mesh = np.meshgrid(*[np.arange(ladder.size)] * ndim, indexing="ij")
+    sums = sum(ladder[a] for a in mesh)
+    if strict:
+        sums = sums[np.all(np.diff(mesh, axis=0) > 0, axis=0)]
+    levels = scale * sums.reshape(-1)
+    return np.sort(levels[levels < threshold])
+
+
 def cube_mode_energies_below(
     threshold: float, side: float, mass: float, ndim: int = 3, strict: bool = False
 ) -> np.ndarray:
@@ -228,8 +255,8 @@ def cube_mode_energies_below(
 
     Modes n run over all positive integer ndim-tuples, or with `strict` over
     the strictly increasing ones only (the antisymmetric sector, whose
-    levels are the spectrum of the corner simplex 0 <= x1 <= ... <= side).
-    This is the package's one enumeration of Dirichlet cube levels.
+    levels are the spectrum of the corner simplex 0 <= x1 <= ... <= side):
+    the ladder k^2 of `ladder_levels_below`.
     """
     if threshold <= 0:
         return np.empty(0)
@@ -237,12 +264,9 @@ def cube_mode_energies_below(
     cap = int(math.floor(math.sqrt(n2_max)))
     if cap < 1:
         return np.empty(0)
-    mesh = np.meshgrid(*[np.arange(1, cap + 1)] * ndim, indexing="ij")
-    n2 = sum(k**2 for k in mesh)
-    if strict:
-        n2 = n2[np.all(np.diff(mesh, axis=0) > 0, axis=0)]
-    energies = math.pi**2 / (2.0 * mass * side**2) * n2.reshape(-1)
-    return np.sort(energies[energies < threshold])
+    return ladder_levels_below(np.arange(1, cap + 1) ** 2,
+                               math.pi**2 / (2.0 * mass * side**2), threshold,
+                               ndim, strict)
 
 
 def dirichlet_cube_kinetic_sum(n: int, side: float, mass: float) -> float:

@@ -7,7 +7,10 @@ and the isometry-averaged subaverage property.  A grand canonical free
 fermion gas in a box provides a solvable concrete map: exact Dirichlet mode
 sums on axis-aligned boxes, a rasterized finite-difference Dirichlet
 Laplacian on everything else (a discretization-biased estimator used only
-for shape-independence checks).
+for shape-independence checks).  Two raster masks have a known lattice
+spectrum and are summed from a 1-D ladder: the full n^3 grid and its chamber
+{j1 <= j2 <= j3}, both with equal steps (the rasters of an axis-aligned cube
+and of the corner tetrahedron).  Every other mask goes to ``eigsh``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,11 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .grafschenker import Simplex, SimplexTester, random_rotations, regular_tetrahedron
-from .liebthirring import classical_lt_constant, cube_mode_energies_below
+from .liebthirring import (
+    classical_lt_constant,
+    cube_mode_energies_below,
+    ladder_levels_below,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -262,6 +269,35 @@ def _modes_below(ham: sp.csc_matrix, threshold: float) -> int:
     return int(np.count_nonzero(pivots < 0.0))
 
 
+def _solvable_ladder(
+    mask: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, bool] | None:
+    """The 1-D ladder of a raster with a known spectrum, and whether it is strict.
+
+    With n sites and step s on every axis, two masks have a separable
+    spectrum.  The full n^3 grid has the levels l_a + l_b + l_c over all
+    a, b, c in 1..n, with l_a = (1 - cos(pi a / (n + 1))) / (m s^2).  The
+    chamber {j1 <= j2 <= j3} shifts to {0 <= k1 < k2 < k3 <= n + 1} by
+    k_i = j_i + i - 1, where a neighbour that leaves the set lands on a plane
+    k_i = k_(i+1) on which an antisymmetric function vanishes: its levels are
+    those of the (n + 2)^3 grid over strictly increasing a < b < c.  The
+    ladder is returned without its factor 1 / (m s^2); any other mask gives
+    None.
+    """
+    n = mask.shape[0]
+    if mask.shape != (n, n, n) or not steps[0] == steps[1] == steps[2]:
+        return None
+    if mask.all():
+        size, strict = n, False
+    else:
+        j = np.arange(n)
+        chamber = (j[:, None, None] <= j[None, :, None]) & (j[None, :, None] <= j)
+        if not np.array_equal(mask, chamber):
+            return None
+        size, strict = n + 2, True
+    return 1.0 - np.cos(np.pi * np.arange(1, size + 1) / (size + 1)), strict
+
+
 def rasterized_dirichlet_energy(
     domain: Domain, mu: float, m: float, h: float
 ) -> float:
@@ -273,13 +309,19 @@ def rasterized_dirichlet_energy(
     -mu.  Biased at O(h) by the staircase boundary; used only for
     shape-independence checks, never as the exact box path.
 
-    The inertia of H + mu I counts the filled modes, and one shift-invert
-    ``eigsh`` call with k = count + 4 finds them, reusing a single
-    factorization of H.  The count only sizes k: the energy sums the modes
-    ``eigsh`` returns, and k doubles until the highest of them reaches -mu.
-    When k would reach the number of sites, a dense solve takes every mode.
-    ARPACK starts from a seeded vector, so the result is a pure function of
-    the arguments.
+    Two masks have a known spectrum: the full n^3 grid and the chamber
+    {j1 <= j2 <= j3} of one, both with equal steps (the raster of an
+    axis-aligned cube and of the corner tetrahedron).  Their filled levels
+    are summed from a 1-D ladder by ``ladder_levels_below``; see
+    ``_solvable_ladder``.  The check reads the mask, not the domain's type.
+
+    Every other mask takes the eigensolver.  The inertia of H + mu I counts
+    the filled modes, and one shift-invert ``eigsh`` call with k = count + 4
+    finds them, reusing a single factorization of H.  The count only sizes
+    k: the energy sums the modes ``eigsh`` returns, and k doubles until the
+    highest of them reaches -mu.  When k would reach the number of sites, a
+    dense solve takes every mode.  ARPACK starts from a seeded vector, so the
+    result is a pure function of the arguments.
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
@@ -287,6 +329,12 @@ def rasterized_dirichlet_energy(
     n_sites = int(np.count_nonzero(mask))
     if n_sites == 0:
         return 0.0
+    solvable = _solvable_ladder(mask, steps)
+    if solvable is not None:
+        ladder, strict = solvable
+        levels = ladder_levels_below(ladder, 1.0 / (m * steps[0] ** 2), -mu,
+                                     strict=strict)
+        return float(np.sum(levels + mu))
 
     import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator, eigsh

@@ -121,6 +121,20 @@ def test_cli_import_leaves_scipy_out():
     assert _probe(probe).split() == []
 
 
+def test_solvable_rasters_leave_scipy_out():
+    # the full cube grid and the corner chamber sum their lattice ladder;
+    # only a raster without a known spectrum loads scipy for eigsh
+    probe = """
+import sys
+from coulomblab import thermo
+thermo.rasterized_dirichlet_energy(thermo.BoxDomain(7.0), -3.75, 1.0, 0.5)
+corner = thermo.SimplexDomain(thermo.corner_tetrahedron(), 12.0)
+thermo.rasterized_dirichlet_energy(corner, -5.0, 1.0, 0.6)
+print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
+"""
+    assert _probe(probe).split() == []
+
+
 NUMPY_ONLY_SUBCOMMANDS = (
     "i0", "fock-oracle", "onsager-check", "lt-box", "stability-constant",
     "graf-schenker", "thermo-limit", "rel-collapse", "fermi-collapse",

@@ -15,6 +15,7 @@ from coulomblab.liebthirring import (
     classical_lt_constant,
     cube_mode_energies_below,
     dirichlet_cube_kinetic_sum,
+    ladder_levels_below,
     lowest_cube_mode_energies,
     lt_rhs,
     opposite_charge_potential_bound,
@@ -347,6 +348,39 @@ class TestDirichletSums:
         assert cube_mode_energies_below(scale * 14, 1.0, 1.0).tolist() == [
             scale * n2 for n2 in (3, 6, 6, 6, 9, 9, 9, 11, 11, 11, 12)
         ]
+
+    LADDERS = {
+        # exactly summable, so brute force and enumeration share every bit
+        "integer": (np.arange(1, 9) ** 2, 0.37),
+        # the 7-point ladder of a 12-site axis, as the raster sums it
+        "lattice": (1.0 - np.cos(np.pi * np.arange(1, 13) / 13), 1.0 / (1.5 * 0.4**2)),
+        # unsorted and irregular
+        "random": (np.random.default_rng(11).uniform(0.05, 2.0, 9), 1.3),
+    }
+
+    @pytest.mark.parametrize("ndim, strict", [(1, False), (2, False), (3, False),
+                                              (1, True), (2, True), (3, True)])
+    @pytest.mark.parametrize("name", sorted(LADDERS))
+    def test_ladder_levels_match_brute_force(self, name, ndim, strict):
+        ladder, scale = self.LADDERS[name]
+        tuples = (itertools.combinations if strict else
+                  lambda xs, n: itertools.product(xs, repeat=n))
+        every = [scale * sum(t) for t in tuples(ladder.tolist(), ndim)]
+        for threshold in np.quantile(every, [0.1, 0.5, 0.9]):
+            got = ladder_levels_below(ladder, scale, threshold, ndim, strict)
+            want = sorted(level for level in every if level < threshold)
+            assert got.size == len(want) > 0
+            assert got.tolist() == want
+
+    def test_ladder_level_on_the_threshold_is_excluded(self):
+        # dyadic entries sum exactly: 0.5 + 1.25 + 2.0 = 3.75
+        ladder = np.array([0.5, 1.25, 2.0, 3.5])
+        assert ladder_levels_below(ladder, 1.0, 3.75, strict=True).size == 0
+        assert ladder_levels_below(ladder, 1.0, 3.75 + 2.0**-50, strict=True).tolist() \
+            == [3.75]
+        # the six tuples of level 3.0 (0.5 + 1.25 + 1.25, 0.5 + 0.5 + 2.0) drop
+        assert ladder_levels_below(ladder, 1.0, 3.0).tolist() == [1.5] + [2.25] * 3
+        assert ladder_levels_below(ladder, 1.0, 1.5, ndim=3).size == 0
 
     def test_dominates_box_bound_with_classical_constant(self):
         p = LtParameters(m=1.0)

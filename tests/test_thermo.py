@@ -50,6 +50,31 @@ def lattice_box_spectrum(side, h, m):
     return np.sort(modes.ravel()) / (2.0 * m)
 
 
+def lattice_corner_spectrum(ell, h, m):
+    """7-point Dirichlet spectrum of the corner tetrahedron's raster.
+
+    The raster {j1 <= j2 <= j3} of an n^3 lattice, shifted to
+    k_i = j_i + i - 1, is {0 <= k1 < k2 < k3 <= n + 1}: its 7-point Laplacian
+    is the antisymmetric sector of the (n + 2)^3 cube lattice, with levels
+    la_a + la_b + la_c over strictly increasing a < b < c.
+    """
+    n = max(math.ceil(ell / h), 1)
+    s = ell / n
+    ladder = [(1.0 - math.cos(math.pi * a / (n + 3))) / (m * s * s)
+              for a in range(1, n + 3)]
+    return np.sort([sum(t) for t in itertools.combinations(ladder, 3)])
+
+
+# The cyclic axis permutation.  The permuted corner's raster is the chamber
+# {j1 <= j2 <= j3} with its axes permuted, which no lattice shortcut reads,
+# so it takes the eigensolver; its spectrum is still the strict-triple ladder.
+CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def permuted_corner(ell):
+    return SimplexDomain(corner_tetrahedron(), ell, rotation=CYCLE)
+
+
 class TestDomains:
     def test_box_volume_and_containment(self):
         box = BoxDomain(2.0, center=(1.0, 0.0, 0.0))
@@ -133,17 +158,9 @@ class TestCornerSimplex:
     @pytest.mark.parametrize("ell, h, mu", [(6.0, 0.5, -3.0), (8.0, 0.5, -2.0),
                                             (5.0, 0.35, -6.0)])
     def test_raster_is_the_antisymmetric_lattice(self, ell, h, mu):
-        # the raster {j1 <= j2 <= j3} of an n^3 lattice, shifted to
-        # k_i = j_i + i - 1, is {0 <= k1 < k2 < k3 <= n + 1}: its 7-point
-        # Laplacian is the antisymmetric sector of the (n + 2)^3 cube lattice,
-        # with levels la_a + la_b + la_c over strictly increasing a < b < c
         m = 1.5
-        n = math.ceil(ell / h)
-        s = ell / n
-        ladder = [(1.0 - math.cos(math.pi * a / (n + 3))) / (m * s * s)
-                  for a in range(1, n + 3)]
-        levels = [sum(t) for t in itertools.combinations(ladder, 3)]
-        want = sum(e + mu for e in levels if e < -mu)
+        levels = lattice_corner_spectrum(ell, h, m)
+        want = float(np.sum(levels[levels < -mu] + mu))
         got = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
                                           mu, m, h)
         assert got == pytest.approx(want, rel=1e-12)
@@ -162,12 +179,21 @@ class TestCornerSimplex:
 class TestRasterEigensolve:
     # side 7, h = 0.5: 14^3 = 2,744 sites, more than 100 modes below 3.75
     MANY = (7.0, -3.75, 1.0, 0.5)
+    # scale 12, h = 0.6: C(22, 3) = 1,540 sites, more than 100 modes below 5
+    MANY_CORNER = (12.0, -5.0, 1.0, 0.6)
 
     def test_all_modes_filled(self):
         # 2 x 2 x 2 sites, all eight modes below -mu
         w = lattice_box_spectrum(1.0, 0.5, 1.0)
         assert w.size == 8 and w.max() < 1000.0
         got = rasterized_dirichlet_energy(BoxDomain(1.0), -1000.0, 1.0, 0.5)
+        assert got == pytest.approx(float(np.sum(w - 1000.0)), rel=1e-14)
+
+    def test_all_modes_filled_permuted_corner(self):
+        # C(4, 3) = 4 sites, all four modes below -mu: the dense fallback
+        w = lattice_corner_spectrum(1.0, 0.5, 1.0)
+        assert w.size == 4 and w.max() < 1000.0
+        got = rasterized_dirichlet_energy(permuted_corner(1.0), -1000.0, 1.0, 0.5)
         assert got == pytest.approx(float(np.sum(w - 1000.0)), rel=1e-14)
 
     def test_threshold_on_an_eigenvalue(self):
@@ -178,8 +204,39 @@ class TestRasterEigensolve:
         got = rasterized_dirichlet_energy(BoxDomain(1.0), -10.0, 1.0, 0.5)
         assert got == pytest.approx(-4.0, rel=1e-12)
 
-    def test_inertia_count_sizes_a_single_eigsh_call(self, monkeypatch):
+    def test_threshold_on_an_eigenvalue_of_a_slab(self, monkeypatch):
+        # a 1 x 2 x 2 slab at step 1/2 has the levels 4 + {2, 6} + {2, 6}:
+        # 8, 12, 12 and 16.  At -mu = 12 the factorization of H + mu I is
+        # exactly singular, the inertia count falls back to 0, and the
+        # eigensolve still fills only the mode at 8
+        counts = []
+        count_modes = thermo._modes_below
+
+        def spy_count(ham, threshold):
+            counts.append(count_modes(ham, threshold))
+            return counts[-1]
+
+        monkeypatch.setattr(thermo, "_modes_below", spy_count)
+        slab = IntersectionDomain(BoxDomain(1.0), BoxDomain(1.0, center=(0.5, 0.0, 0.0)))
+        got = rasterized_dirichlet_energy(slab, -12.0, 1.0, 0.5)
+        assert counts == [0]
+        assert got == pytest.approx(-4.0, rel=1e-12)
+
+    def test_box_raster_skips_the_eigensolver(self, monkeypatch):
         side, mu, m, h = self.MANY
+        calls = []
+        monkeypatch.setattr(thermo, "_modes_below", lambda *a: calls.append("count"))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **k: calls.append("eigsh"))
+        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
+        w = lattice_box_spectrum(side, h, m)
+        filled = w[w < -mu]
+        assert filled.size > 100
+        assert calls == []
+        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
+
+    def test_inertia_count_sizes_a_single_eigsh_call(self, monkeypatch):
+        ell, mu, m, h = self.MANY_CORNER
         counts, ks = [], []
         count_modes, eigsh = thermo._modes_below, scipy.sparse.linalg.eigsh
 
@@ -193,8 +250,8 @@ class TestRasterEigensolve:
 
         monkeypatch.setattr(thermo, "_modes_below", spy_count)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
-        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
-        w = lattice_box_spectrum(side, h, m)
+        got = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
+        w = lattice_corner_spectrum(ell, h, m)
         filled = w[w < -mu]
         assert filled.size > 100
         assert counts == [filled.size]
@@ -204,13 +261,21 @@ class TestRasterEigensolve:
     @pytest.mark.parametrize("shrink", [lambda c: 0, lambda c: c // 2],
                              ids=["zero", "half"])
     def test_undercount_recovered_by_retry(self, monkeypatch, shrink):
-        side, mu, m, h = self.MANY
-        honest = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
-        count_modes = thermo._modes_below
+        ell, mu, m, h = self.MANY_CORNER
+        honest = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
+        count_modes, eigsh = thermo._modes_below, scipy.sparse.linalg.eigsh
+        ks = []
+
+        def spy_eigsh(*args, **kwargs):
+            ks.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
         monkeypatch.setattr(thermo, "_modes_below",
                             lambda ham, threshold: shrink(count_modes(ham, threshold)))
-        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
-        w = lattice_box_spectrum(side, h, m)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+        got = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
+        w = lattice_corner_spectrum(ell, h, m)
+        assert len(ks) > 1
         assert got == pytest.approx(float(np.sum(w[w < -mu] + mu)), rel=1e-12)
         assert got == pytest.approx(honest, rel=1e-12)
 
@@ -218,6 +283,83 @@ class TestRasterEigensolve:
         dom = SimplexDomain(corner_tetrahedron(), ell=10.0)
         first = rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
         assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
+
+    def test_repeated_calls_are_bit_identical_permuted_corner(self):
+        dom = permuted_corner(10.0)
+        first = rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
+        assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
+
+
+class EigensolverReached(Exception):
+    pass
+
+
+class TestRasterRoute:
+    """Which masks sum their lattice ladder and which reach ``eigsh``."""
+
+    @pytest.fixture
+    def no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise EigensolverReached
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        monkeypatch.setattr(thermo, "_modes_below", refuse)
+
+    @pytest.mark.parametrize("h", [0.6, 0.45, 0.36])
+    def test_criterion_8_corners_take_the_lattice(self, no_eigensolver, h):
+        for ell in (12.5, 15.0, 18.0, 20.0):
+            got = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
+                                              -2.0, 1.0, h)
+            w = lattice_corner_spectrum(ell, h, 1.0)
+            assert got == pytest.approx(float(np.sum(w[w < 2.0] - 2.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape, length, h, mu", [
+        ("box", 6.0, 0.5, -1.0), ("box", 7.0, 0.5, -3.75),
+        ("simplex", 10.0, 0.5, -2.0), ("simplex", 12.0, 0.6, -5.0),
+    ])
+    def test_raster_workload_cases_take_the_lattice(self, no_eigensolver,
+                                                    shape, length, h, mu):
+        # the `raster` benchmark workload's four cases, at their base mu
+        if shape == "box":
+            dom, w = BoxDomain(length), lattice_box_spectrum(length, h, 1.0)
+        else:
+            dom = SimplexDomain(corner_tetrahedron(), length)
+            w = lattice_corner_spectrum(length, h, 1.0)
+        got = rasterized_dirichlet_energy(dom, mu, 1.0, h)
+        assert got == pytest.approx(float(np.sum(w[w < -mu] + mu)), rel=1e-12)
+
+    def test_other_masks_reach_the_eigensolver(self, no_eigensolver):
+        theta = 0.7
+        rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
+                        [math.sin(theta), math.cos(theta), 0.0],
+                        [0.0, 0.0, 1.0]])
+        domains = {
+            "rotated simplex": SimplexDomain(corner_tetrahedron(), 6.0, rotation=rot),
+            "permuted corner": permuted_corner(6.0),
+            "intersection": IntersectionDomain(
+                BoxDomain(6.0), SimplexDomain(regular_tetrahedron(), 6.0)),
+            "difference": DifferenceDomain(BoxDomain(6.0), BoxDomain(2.0)),
+        }
+        for name, dom in domains.items():
+            with pytest.raises(EigensolverReached):
+                rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("side, h, mu", [(6.0, 0.5, -1.0), (7.0, 0.5, -3.75)])
+    def test_lattice_matches_the_eigensolve_of_the_full_grid(self, monkeypatch,
+                                                            side, h, mu):
+        lattice = rasterized_dirichlet_energy(BoxDomain(side), mu, 1.0, h)
+        monkeypatch.setattr(thermo, "_solvable_ladder", lambda mask, steps: None)
+        eigen = rasterized_dirichlet_energy(BoxDomain(side), mu, 1.0, h)
+        assert lattice == pytest.approx(eigen, rel=1e-12)
+
+    @pytest.mark.parametrize("ell, h, mu", [(7.0, 0.5, -3.0), (10.0, 0.5, -2.0),
+                                            (12.0, 0.6, -5.0), (12.5, 0.5, -2.0)])
+    def test_lattice_matches_the_permuted_corner_eigensolve(self, ell, h, mu):
+        # 560 to 2,925 sites; the two masks have one spectrum
+        lattice = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
+                                              mu, 1.0, h)
+        eigen = rasterized_dirichlet_energy(permuted_corner(ell), mu, 1.0, h)
+        assert lattice == pytest.approx(eigen, rel=1e-12)
 
 
 class TestExtrapolation:
