@@ -2,11 +2,11 @@
 
 Subpackages map one-to-one onto the experiment families:
 
-- ``numerics``: grids, the Gauss-Legendre panel rule, Legendre and radial
-  Fourier transforms, PSD matrices.
+- ``numerics``: grids, the Gauss-Legendre panel rule, Legendre transforms,
+  PSD matrices.
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
-- ``grafschenker``: simplex-averaged Coulomb restrictions over sampled rotations.
+- ``grafschenker``: simplex-averaged Coulomb restrictions, sampled and exact.
 - ``thermo``: energy-map axioms and thermodynamic-limit extrapolation.
 - ``operators``: spectral-grid magnetic forms and the Pauli square identity.
 - ``instability``: relativistic and attractive-potential collapse scans.

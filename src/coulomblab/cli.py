@@ -293,8 +293,9 @@ def _run_thermo(cfg: RunConfig) -> int:
     closed = thermo.free_fermion_energy_density(mu, m)
     rel = abs(rep.e_infinity - closed) / abs(closed)
     ok = rel < 0.01
-    header = {"mu": mu, "m": m, "e_infinity": rep.e_infinity,
-              "closed_form": closed, "rel_error": rel, "pass": ok}
+    header = {"mu": mu, "m": m, "e_infinity": rep.e_infinity, "closed_form": closed,
+              "rel_error": rel, "residual_rms": rep.residual_rms,
+              "fit_warning": rep.fit_warning, "pass": ok}
     _emit(cfg, header, rows=rep.rows(), header=header)
     return 0 if ok else 1
 

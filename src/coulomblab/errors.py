@@ -13,10 +13,6 @@ class SlopeRangeError(ValueError):
     """Legendre dual variable lies outside the attained slope range."""
 
 
-class TailError(ValueError):
-    """Declared extrapolation tail is not integrable for the requested use."""
-
-
 class NotPsdError(ValueError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 

@@ -8,10 +8,12 @@ carries Lebesgue measure on translations and unit mass on SO(3).  The
 translation integral is exact, |l simplex meet (l simplex + v)| =
 (1 - phi(v))_+^3 |l simplex| (see ``_pair_average``), so only the rotations
 are sampled, as Haar-uniform random unit quaternions.  F(r, r) / |l simplex|
-= 1 exactly; all estimates below are reported in that normalization.
+= 1 exactly; all estimates below are reported in that normalization, and
+``radial_kernel`` takes the rotation average exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .coulomb import ChargeConfiguration, exact_coulomb_energy
 from .errors import DegenerateSimplexError
-from .numerics import RadialGridFunction, radial_fourier_transform
+from .numerics import gauss_panels
 
 __all__ = [
     "Simplex",
@@ -27,7 +29,7 @@ __all__ = [
     "SimplexTester",
     "random_rotations",
     "overlap_kernel",
-    "estimate_radial_kernel",
+    "radial_kernel",
     "gs_positive_type_check",
     "sliding_inequality_experiment",
 ]
@@ -113,6 +115,8 @@ class SimplexTester:
             raise ValueError("ell must be positive")
         self.v0 = ell * simplex.vertices[0]
         self.inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
+        # linear parts a_k . v of the barycentric coordinates of vertices 1, 2, 3, 0
+        self.forms = np.vstack([self.inv_edges, -self.inv_edges.sum(axis=0)])
         self.volume = simplex.volume * ell**3
         self.reach = ell * simplex.max_vertex_norm
 
@@ -139,8 +143,6 @@ def _pair_average(
     Shephard, J. London Math. Soc. 33 (1958) 270).  So each Haar rotation R
     contributes sum_p w_p (1 - phi(R^T s_p))_+^3, drawn ``_CHUNK`` at a time.
     """
-    # l_k(R^T s) = (R a_k) . s for the form rows a_k, the last being -sum
-    forms = np.vstack([tester.inv_edges, -tester.inv_edges.sum(axis=0)])
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -148,7 +150,7 @@ def _pair_average(
         m = min(_CHUNK, samples - done)
         rots = random_rotations(rng, m)
         l1 = np.zeros((m, len(weights)))  # sum_k |l_k(R^T s_p)| = 2 phi
-        for a in forms:
+        for a in tester.forms:  # l_k(R^T s) = (R a_k) . s
             l1 += np.abs((rots @ a) @ separations.T)
         scale = np.maximum(1.0 - 0.5 * l1, 0.0)
         vals = (scale * scale * scale) @ weights
@@ -177,33 +179,94 @@ def overlap_kernel(
                          np.random.default_rng(seed))
 
 
-def estimate_radial_kernel(
-    simplex: Simplex,
-    ell: float,
-    separations: np.ndarray,
-    samples: int,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel profile g(x) at the given separations, one MC stream each."""
-    separations = np.asarray(separations, dtype=float)
-    est = np.empty_like(separations)
-    err = np.empty_like(separations)
-    origin = np.zeros(3)
-    for j, x in enumerate(separations):
-        est[j], err[j] = overlap_kernel(
-            origin, np.array([x, 0.0, 0.0]), simplex, ell, samples, seed=[seed, j]
-        )
-    return est, err
+def _face_triangles(simplex: Simplex, ell: float) -> tuple[np.ndarray, ...]:
+    """The faces of K = l (simplex - simplex), cut into triangles from their feet.
+
+    phi = c_P . v = sum_{k in P} a_k . v where the forms are positive on the
+    vertex subset P and negative off it, so each proper nonempty P gives a
+    face spanned by the v_i - v_j, i in P, j not in P: 8 triangles and 6
+    parallelograms.  Each edge pq cuts the triangle (f, p, q) off the foot
+    f = c_P / |c_P|^2, signed by the side of pq that f lies on.  Per
+    triangle: the face's distance h, the distance d from f to the line pq,
+    the angles of p and q about f from the line's nearest point, the sign.
+    """
+    forms = SimplexTester(simplex, ell).forms
+    verts = ell * simplex.vertices[[1, 2, 3, 0]]  # in the order of the forms
+    rows = []
+    for size in (1, 2, 3):
+        for pos in itertools.combinations(range(4), size):
+            cycle = list(itertools.product(pos, [j for j in range(4) if j not in pos]))
+            if size == 2:  # walk round the parallelogram
+                cycle[2:] = cycle[3], cycle[2]
+            corners = np.array([verts[i] - verts[j] for i, j in cycle])
+            normal, centre = forms[list(pos)].sum(axis=0), corners.mean(axis=0)
+            rows += [(p, q, normal, centre)
+                     for p, q in zip(corners, np.roll(corners, -1, axis=0))]
+    p, q, normal, centre = np.array(rows).transpose(1, 0, 2)
+
+    h = 1.0 / np.linalg.norm(normal, axis=1)
+    foot = normal * (h * h)[:, None]
+    length = np.linalg.norm(q - p, axis=1)
+    unit = (q - p) / length[:, None]
+    across = np.cross(normal, unit) * h[:, None]  # unit, in the face, normal to pq
+    off = np.einsum("ij,ij->i", foot - p, across)  # signed distance of f from pq
+    sign = np.sign(off * np.einsum("ij,ij->i", centre - p, across))
+    s_p, d = np.einsum("ij,ij->i", p - foot, unit), np.abs(off)
+    return h, d, np.arctan2(s_p, d), np.arctan2(s_p + length, d), sign
+
+
+def _direction_average(inner, h, d, lo, hi, sign, cut=0.0) -> np.ndarray:
+    """<F(phi)> over unit directions from inner(T, h) = int_h^T h t^-2 F(1/t) dt.
+
+    The direction through the face point p at t = |p| has the measure
+    h t^-2 dt dtheta / (4 pi); the ray at angle theta leaves its triangle at
+    T = sqrt(h^2 + d^2 / cos^2 theta).  Each triangle is cut where T = cut,
+    for a kink of inner there (at theta = 0 if T > cut throughout), and each
+    piece gets the 32-point rule; leading batch axes of cut or inner stay.
+    """
+    # T = cut at cos theta = d / sqrt(cut^2 - h^2)
+    kink = np.arctan2(np.sqrt(np.maximum(np.square(cut) - h * h - d * d, 0.0)), d)
+    h, d = h[:, None, None], d[:, None, None]
+    # the two pieces of each triangle on the axis before the triangles'
+    a = np.stack(np.broadcast_arrays(lo, np.maximum(lo, kink)), axis=-2)
+    b = np.stack(np.broadcast_arrays(np.minimum(hi, -kink), hi), axis=-2)
+    width = np.maximum(b - a, 0.0)
+
+    def f(u):
+        theta = a[..., None, None] + width[..., None, None] * u
+        return inner(np.hypot(h, d / np.cos(theta)), h)
+
+    pieces = sign * width * gauss_panels(f, [0.0, 1.0])
+    return np.sum(pieces, axis=(-2, -1)) / (4.0 * math.pi)
+
+
+def radial_kernel(r, simplex: Simplex, ell: float) -> np.ndarray:
+    """Exact F(r) / |l simplex| at separations |r|, in the shape of r.
+
+    It is g(r) = <(1 - r phi(w))_+^3> over unit directions w, which
+    ``overlap_kernel`` samples.  On the face-plane rule the t-integral is
+    (h / 4r) [(1 - r/T)^4 - (1 - r/m)^4], m = max(h, r), written without the
+    cancellation at small r; each triangle is cut where T = r, its one kink.
+    """
+    r = np.abs(np.asarray(r, dtype=float))
+    x = r[..., None, None, None, None]
+
+    def inner(t_edge, h):
+        m = np.maximum(h, x)
+        a, b = 1.0 - x / t_edge, 1.0 - x / m
+        # a^4 - b^4 = (a - b)(a + b)(a^2 + b^2), with a - b = x (T - m) / (m T)
+        return (h * np.maximum(t_edge - m, 0.0) / (4.0 * m * t_edge)
+                * (a + b) * (a * a + b * b))
+
+    return _direction_average(inner, *_face_triangles(simplex, ell), cut=r[..., None])
 
 
 @dataclass
 class PositiveTypeReport:
     k_grid: np.ndarray
     transform: np.ndarray
-    transform_error: np.ndarray
     separations: np.ndarray
     kernel: np.ndarray
-    kernel_error: np.ndarray
     status: str
 
     @property
@@ -219,57 +282,39 @@ def gs_positive_type_check(
     samples_per_point: int = 20000,
     seed: int = 0,
 ) -> PositiveTypeReport:
-    """Positivity test of the Fourier transform of (1 - g(x)) / x.
+    """Fourier transform T(k) of (1 - g(r)) / r, g = ``radial_kernel``.
 
-    g is estimated on a radial grid up to its support radius ell * diam;
-    beyond the support h(x) = 1/x exactly, declared as the power tail of the
-    sampled profile, and the transform is evaluated with the shared radial
-    transform (Abel-regularized 1/x tail).  Monte Carlo errors propagate
-    linearly through the quadrature weights.  Status is "negative" if any
-    value sits below -3 sigma, "inconclusive" when error bars dwarf the
-    values, otherwise "nonnegative-within-error".
+    Averaging 1 - (1 - r phi)_+^3 over directions, the transform
+    (4 pi / k) int_0^inf sin(k r) (1 - g(r)) dr (Abel-regularized) is
+    T(k) = 24 pi / (l^3 k^5) <phi^3 (y - sin y)> with y = k l / phi, in the
+    gauge phi of simplex - simplex, by the face-plane rule and the 32-point
+    rule in t.  As sin y < y, T(k) > 0 for every k and simplex; the status
+    reads "negative" only if a value came out below zero.  The report also
+    carries the exact kernel at radial_samples equispaced separations up to
+    its support ell * diam.  samples_per_point and seed are unread, kept so
+    that callers written for the former Monte Carlo check still run.
     """
-    support = ell * simplex.diameter
-    xs = np.linspace(support / radial_samples, support, radial_samples)
-    g_est, g_err = estimate_radial_kernel(simplex, ell, xs, samples_per_point, seed)
-
-    # h(x) = (1 - g)/x; g(0) = 1 keeps h finite at the origin and g vanishes
-    # beyond the support, where h continues as the exact 1/x power tail
-    nodes = np.concatenate([[0.0], xs, [support * (1.0 + 1e-9)]])
-    h0 = (1.0 - g_est[0]) / xs[0]
-    h_vals = np.concatenate([[h0], (1.0 - g_est) / xs, [1.0 / nodes[-1]]])
-    h = RadialGridFunction(nodes, h_vals, tail_exponent=-1.0)
-
     k_grid = np.asarray(k_grid, dtype=float)
-    vals = np.array([radial_fourier_transform(h, k) for k in k_grid])
+    if k_grid.size == 0 or np.any(k_grid <= 0):
+        raise ValueError("k_grid must be nonempty and positive")
 
-    # first-order error propagation with trapezoid weights on the g nodes
-    tw = np.gradient(xs)
-    errs = np.array(
-        [
-            4.0
-            * math.pi
-            / k
-            * math.sqrt(float(np.sum((tw * np.sin(k * xs) * g_err) ** 2)))
-            for k in k_grid
-        ]
-    )
+    def inner(t_edge, h, k):  # y = k t, as at scale l the gauge is phi / l = 1/t
+        h, span = h[..., None, None], (t_edge - h)[..., None, None]
 
-    if np.any(vals < -3.0 * errs):
-        status = "negative"
-    elif np.all(np.abs(vals) < errs):
-        status = "inconclusive"
-    else:
-        status = "nonnegative-within-error"
-    return PositiveTypeReport(
-        k_grid=k_grid,
-        transform=vals,
-        transform_error=errs,
-        separations=xs,
-        kernel=g_est,
-        kernel_error=g_err,
-        status=status,
-    )
+        def f(v):
+            t = h + span * v
+            return span * h * (k * t - np.sin(k * t)) / t**5
+
+        return gauss_panels(f, [0.0, 1.0])
+
+    triangles = _face_triangles(simplex, ell)
+    averages = [_direction_average(lambda t, h, k=k: inner(t, h, k), *triangles)
+                for k in k_grid]
+    transform = 24.0 * math.pi / k_grid**5 * np.array(averages)
+    xs = ell * simplex.diameter * np.arange(1, radial_samples + 1) / radial_samples
+    status = "negative" if np.any(transform < 0) else "nonnegative"
+    kernel = radial_kernel(xs, simplex, ell)
+    return PositiveTypeReport(k_grid, transform, xs, kernel, status)
 
 
 @dataclass

@@ -1,13 +1,11 @@
 """Shared numerical substrate.
 
 Radial grids and grid functions, a Gauss-Legendre panel rule, discrete
-Legendre transforms, radial Fourier transforms with an analytic 1/r tail and
-PSD matrix functions.  Everything
-here is a pure function of its inputs.
+Legendre transforms and PSD matrix functions.  Everything here is a pure
+function of its inputs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -15,12 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ConvexityError,
-    NotPsdError,
-    SlopeRangeError,
-    TailError,
-)
+from .errors import ConvexityError, NotPsdError, SlopeRangeError
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -32,7 +25,6 @@ __all__ = [
     "geometric_radial_grid",
     "gauss_panels",
     "legendre_transform",
-    "radial_fourier_transform",
     "psd_sqrt",
 ]
 
@@ -52,14 +44,11 @@ def geometric_radial_grid(r_min: float, r_max: float, n: int) -> np.ndarray:
 class RadialGridFunction:
     """Scalar function sampled on a strictly increasing radial grid.
 
-    ``tail_exponent`` declares the extrapolation model beyond the last node:
-    ``None`` means extension by zero, a float ``s`` means the power law
-    ``f(r) = f(r_last) * (r / r_last)**s``.
+    Beyond the last node it is extended by zero.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    tail_exponent: float | None = None
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -83,17 +72,9 @@ class RadialGridFunction:
         return CubicSpline(self.nodes, self.values, extrapolate=True)
 
     def __call__(self, r):
-        """Cubic interpolant inside the grid, declared tail beyond it."""
+        """Cubic interpolant inside the grid, zero beyond it."""
         r = np.asarray(r, dtype=float)
-        out = self.spline(r)
-        last = self.nodes[-1]
-        beyond = r > last
-        if np.any(beyond):
-            if self.tail_exponent is None:
-                out = np.where(beyond, 0.0, out)
-            else:
-                tail = self.values[-1] * (r / last) ** self.tail_exponent
-                out = np.where(beyond, tail, out)
+        out = np.where(r > self.nodes[-1], 0.0, self.spline(r))
         return out if out.ndim else float(out)
 
 
@@ -208,43 +189,18 @@ def gauss_panels(f, edges) -> float:
     """int f from edges[0] to edges[-1], a 32-point Gauss-Legendre rule per panel.
 
     ``f`` maps an array of abscissae of shape (panels, 32) to integrand
-    values of the same shape.  The rule is exact for polynomials of degree 63
-    on each panel, so the edges should split the range where the integrand
-    changes its scale, leaving it smooth on every panel.
+    values of the same shape, or of shape (..., panels, 32) for a batch of
+    integrals, returned as an array of shape (...).  The rule is exact for
+    polynomials of degree 63 on each panel, so the edges should split the
+    range where the integrand changes its scale, leaving it smooth on every
+    panel.
     """
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = mid[:, None] + half[:, None] * _GAUSS_NODES
-    return float(np.sum(half * (f(x) @ _GAUSS_WEIGHTS)))
-
-
-def radial_fourier_transform(f: RadialGridFunction, k: float) -> float:
-    """3-d Fourier transform of a radial profile at radial frequency k.
-
-    Computes (4 pi / k) * int_0^inf r sin(k r) f(r) dr on the sampled range
-    with gauss_panels over the spline's own intervals, where the integrand is
-    analytic; the rule stays at roundoff while k times the widest interval is
-    below about 64, i.e. ten periods of sin(k r).  The tail must be absent or
-    the Coulomb tail c/r; its part c int_{r0}^inf sin(k r) dr is
-    cos(k r0) c / k in the Abel-regularized sense.  Any other power tail
-    raises TailError.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if f.tail_exponent not in (None, -1.0):
-        raise TailError("the radial transform takes no tail or the 1/r tail")
-
-    r_last = float(f.nodes[-1])
-    # a grid that starts above 0 adds the first piece's extension as a panel
-    panels = np.union1d(0.0, f.nodes)
-    core = gauss_panels(lambda r: r * np.sin(k * r) * f.spline(r), panels)
-
-    tail = 0.0
-    if f.tail_exponent is not None:
-        tail = f.values[-1] * r_last * math.cos(k * r_last) / k
-
-    return 4.0 * math.pi / k * (core + tail)
+    out = np.sum(half * (f(x) @ _GAUSS_WEIGHTS), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def psd_sqrt(m: PsdMatrix) -> PsdMatrix:

@@ -201,6 +201,10 @@ class TestCliContract:
         assert art["closed_form"] == pytest.approx(
             -(2.0**2.5) / (30.0 * math.pi**2), rel=1e-15
         )
+        # the fit's diagnostics: the rms of the rows' e - fit, not flagged
+        rms = math.sqrt(np.mean([(row["e"] - row["fit"]) ** 2 for row in art["rows"]]))
+        assert art["residual_rms"] == pytest.approx(rms, rel=1e-9)
+        assert art["fit_warning"] is False
         assert art["pass"] is True
 
     def test_rel_collapse_bytes_across_blas_threads(self):

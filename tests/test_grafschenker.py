@@ -10,13 +10,18 @@ from coulomblab.errors import DegenerateSimplexError
 from coulomblab.grafschenker import (
     Simplex,
     SimplexTester,
+    _direction_average,
+    _face_triangles,
     random_rotations,
-    estimate_radial_kernel,
     gs_positive_type_check,
     overlap_kernel,
+    radial_kernel,
     regular_tetrahedron,
     sliding_inequality_experiment,
 )
+from coulomblab.numerics import RadialGridFunction
+from coulomblab.thermo import corner_tetrahedron
+from fourier_oracle import radial_fourier_transform
 
 SEED = 137
 
@@ -53,25 +58,29 @@ def covering_cell_average(points, weights, tester, samples, rng):
 
 
 @pytest.fixture(scope="module")
-def phi_moments():
-    """<phi>, <phi^2>, <phi^3> over directions for the unit regular tetrahedron.
+def fibonacci_phi():
+    """phi at the 2M points of a Fibonacci rule on the sphere, unit regular tetrahedron.
 
-    phi is the gauge of the difference body; a 2M-point Fibonacci rule on
-    the sphere integrates it, in blocks to keep the arrays small.
+    phi is the gauge of the difference body; the directions are built in
+    blocks to keep the arrays small.
     """
     n = 2_000_000
-    tester = SimplexTester(regular_tetrahedron(), 1.0)
-    forms = np.vstack([tester.inv_edges, -tester.inv_edges.sum(axis=0)])
-    moments = np.zeros(3)
+    forms = SimplexTester(regular_tetrahedron(), 1.0).forms
+    blocks = []
     for start in range(0, n, 250_000):
         k = np.arange(start, min(start + 250_000, n)) + 0.5
         z = 1.0 - 2.0 * k / n
         rho = np.sqrt(1.0 - z * z)
         theta = math.pi * (3.0 - math.sqrt(5.0)) * k
         w = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
-        phi = 0.5 * np.abs(w @ forms.T).sum(axis=1)
-        moments += [phi.sum(), (phi**2).sum(), (phi**3).sum()]
-    return moments / n
+        blocks.append(0.5 * np.abs(w @ forms.T).sum(axis=1))
+    return np.concatenate(blocks)
+
+
+@pytest.fixture(scope="module")
+def phi_moments(fibonacci_phi):
+    """<phi>, <phi^2>, <phi^3> over directions by the Fibonacci rule."""
+    return np.array([np.mean(fibonacci_phi**j) for j in (1, 2, 3)])
 
 
 def cubic_kernel(x, moments):
@@ -152,12 +161,13 @@ class TestOverlapKernel:
         z = np.abs(estimates - mean) / np.sqrt(errors**2 + sigma_mean**2)
         assert z.max() <= 3.0
 
-    def test_kernel_profile_monotone_within_error(self):
+    @pytest.mark.parametrize("r", [0.6, 1.2, 2.4, 2.7])
+    def test_matches_radial_kernel(self, r):
         simp = regular_tetrahedron()
-        xs = np.linspace(0.3, 2.7, 9)
-        g, err = estimate_radial_kernel(simp, 3.0, xs, 20000, seed=SEED)
-        for a, b, ea, eb in zip(g[:-1], g[1:], err[:-1], err[1:]):
-            assert b <= a + 3.0 * math.hypot(ea, eb)
+        est, err = overlap_kernel(
+            np.zeros(3), np.array([r, 0.0, 0.0]), simp, 3.0, 100000, seed=SEED
+        )
+        assert abs(est - radial_kernel(r, simp, 3.0)) <= 4.0 * err
 
     def test_minimum_samples_enforced(self):
         simp = regular_tetrahedron()
@@ -172,31 +182,79 @@ def report():
         ell=3.0,
         radial_samples=18,
         k_grid=np.geomspace(0.05, 12.0, 16),
-        samples_per_point=20000,
-        seed=SEED,
     )
+
+
+def random_simplex():
+    # seeded so that some faces of its difference body have their foot
+    # outside the face, which the face-plane rule counts with negative signs
+    return Simplex(np.random.default_rng(SEED).standard_normal((4, 3)))
+
+
+def surface_area(simplex):
+    v = simplex.vertices
+    return sum(0.5 * np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
+               for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+
+
+class TestFacePlaneRule:
+    @pytest.mark.parametrize("simplex", [
+        regular_tetrahedron(), corner_tetrahedron(), random_simplex(),
+    ], ids=["regular", "corner", "random"])
+    def test_mass_and_mean_gauge(self, simplex):
+        # <1> = 1, and <phi> = S / (12 V) by Cauchy's projection formula;
+        # the t-integrals int_h^T h t^-2 F(1/t) dt of F = 1 and F = phi
+        triangles = _face_triangles(simplex, 1.0)
+        assert len(triangles[0]) == 48
+        mass = _direction_average(lambda t, h: 1.0 - h / t, *triangles)
+        mean = _direction_average(lambda t, h: 0.5 * (1.0 / h - h / t**2), *triangles)
+        assert abs(mass - 1.0) <= 1e-14
+        assert abs(mean - surface_area(simplex) / (12.0 * simplex.volume)) <= 1e-13
+
+    def test_random_simplex_has_feet_outside_faces(self):
+        assert np.any(_face_triangles(random_simplex(), 1.0)[-1] < 0)
+
+    def test_radial_kernel_matches_fibonacci(self, fibonacci_phi, phi_moments):
+        # 1 <= phi <= sqrt 2: the cubic in the moments holds up to x = 1/sqrt 2,
+        # beyond it the truncation (.)_+ takes effect
+        simp = regular_tetrahedron()
+        below = np.array([0.1, 0.3, 0.5, 0.7, 1.0 / math.sqrt(2.0)])
+        above = np.array([0.75, 0.8, 0.9, 0.95, 0.99])
+        exact = radial_kernel(np.concatenate([below, above]), simp, 1.0)
+        assert np.abs(exact[:5] - cubic_kernel(below, phi_moments)).max() <= 1e-10
+        for x, g in zip(above, exact[5:]):
+            assert abs(g - np.mean(np.maximum(1.0 - x * fibonacci_phi, 0.0) ** 3)) <= 1e-10
+
+    @pytest.mark.parametrize("simplex", [regular_tetrahedron(), random_simplex()],
+                             ids=["regular", "random"])
+    def test_radial_kernel_profile(self, simplex):
+        ell = 3.0
+        support = ell * simplex.diameter
+        r = np.linspace(0.0, 1.2 * support, 241)
+        g = radial_kernel(r, simplex, ell)
+        assert g[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.all(g[r > support] == 0.0)
+        assert radial_kernel(support, simplex, ell) == pytest.approx(0.0, abs=1e-15)
+        assert np.all(np.diff(g) <= 0.0)
 
 
 class TestPositiveType:
 
     def test_no_negative_values_beyond_errors(self, report):
-        assert report.status != "negative"
-        assert np.all(report.transform >= -3.0 * report.transform_error)
+        # T(k) = 24 pi/(l^3 k^5) <phi^3 (y - sin y)> is positive term by term
+        assert report.status == "nonnegative"
+        assert np.all(report.transform > 0.0)
 
     def test_long_wavelength_coulomb_limit(self, report):
         # for k ell diam << 1 the screening correction is O(k^2), so the
         # transform approaches the bare Coulomb 4 pi / k^2
         k0 = report.k_grid[0]
-        coulomb = 4.0 * math.pi / k0**2
-        assert report.transform[0] == pytest.approx(
-            coulomb, rel=0.05, abs=3.0 * report.transform_error[0]
-        )
+        assert report.transform[0] == pytest.approx(4.0 * math.pi / k0**2, rel=0.05)
 
     def test_short_wavelength_screening(self, report):
         # opposite regime: g(0) = 1 cancels the Coulomb tail at high k
         k1 = report.k_grid[-1]
-        coulomb = 4.0 * math.pi / k1**2
-        assert abs(report.transform[-1]) < 0.7 * coulomb + 3.0 * report.transform_error[-1]
+        assert abs(report.transform[-1]) < 0.7 * 4.0 * math.pi / k1**2
 
     def test_small_separation_slope(self, report):
         # rotation-averaged covariogram slope of a convex body is -S/(4V)
@@ -209,11 +267,30 @@ class TestPositiveType:
         slope_exact = surface / (4.0 * volume)
         x0 = report.separations[0]
         slope_est = (1.0 - report.kernel[0]) / x0
-        sigma = report.kernel_error[0] / x0
         # curvature allowance: next-order term of the covariogram is O(x)
-        assert slope_est == pytest.approx(
-            slope_exact, abs=3.0 * sigma + 0.5 * slope_exact * x0
-        )
+        assert slope_est == pytest.approx(slope_exact, abs=0.5 * slope_exact * x0)
+
+    def test_matches_transform_of_the_exact_kernel(self):
+        # the spline oracle on 400 exact-g nodes, with h = (1 - g)/r equal to
+        # its slope S/(4V) at 0 and continuing as 1/r beyond the support
+        simp, ell = regular_tetrahedron(), 3.0
+        k_grid = np.geomspace(0.05, 10.0, 8)
+        rep = gs_positive_type_check(simp, ell, 12, k_grid)
+        support = ell * simp.diameter
+        r = np.linspace(0.0, support, 401)
+        h = np.empty_like(r)
+        h[0] = 1.5 * math.sqrt(6.0) / ell
+        h[1:] = (1.0 - radial_kernel(r[1:], simp, ell)) / r[1:]
+        f = RadialGridFunction(r, h)
+        oracle = [radial_fourier_transform(f, k, coulomb_tail=True) for k in k_grid]
+        assert rep.transform == pytest.approx(oracle, rel=1e-8)
+        assert rep.transform[-1] == pytest.approx(1.26588e-3, abs=1e-8)
+        assert np.array_equal(rep.kernel, radial_kernel(rep.separations, simp, ell))
+
+    @pytest.mark.parametrize("k_grid", [[], [0.0, 1.0], [-1.0]])
+    def test_rejects_empty_or_nonpositive_k(self, k_grid):
+        with pytest.raises(ValueError):
+            gs_positive_type_check(regular_tetrahedron(), 3.0, 12, k_grid)
 
 
 def neutral_pair(d=1.0):

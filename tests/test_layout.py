@@ -135,6 +135,21 @@ print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
     assert _probe(probe).split() == []
 
 
+def test_exact_graf_schenker_leaves_scipy_out():
+    # the face-plane rule runs on numerics.gauss_panels, so neither the
+    # exact kernel nor the positive-type check builds a spline
+    probe = """
+import sys
+import numpy as np
+from coulomblab import grafschenker as gs
+simplex = gs.regular_tetrahedron()
+gs.radial_kernel(np.linspace(0.0, 3.0, 7), simplex, 3.0)
+gs.gs_positive_type_check(simplex, 3.0, 12, np.geomspace(0.05, 10.0, 8))
+print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
+"""
+    assert _probe(probe).split() == []
+
+
 NUMPY_ONLY_SUBCOMMANDS = (
     "i0", "fock-oracle", "onsager-check", "lt-box", "stability-constant",
     "graf-schenker", "thermo-limit", "rel-collapse", "fermi-collapse",

