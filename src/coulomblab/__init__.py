@@ -6,7 +6,7 @@ Subpackages map one-to-one onto the experiment families:
   PSD matrices.
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
-- ``grafschenker``: simplex-averaged Coulomb restrictions, sampled and exact.
+- ``grafschenker``: simplex-averaged Coulomb restrictions, averaged exactly.
 - ``thermo``: energy-map axioms and thermodynamic-limit extrapolation.
 - ``operators``: spectral-grid magnetic forms and the Pauli square identity.
 - ``instability``: relativistic and attractive-potential collapse scans.

@@ -1,15 +1,18 @@
-"""Simplex-averaged Coulomb restrictions: isometry averages over rotations.
+"""Simplex-averaged Coulomb restrictions: exact isometry averages.
 
 The overlap kernel
 
     F(r, r') = integral over isometries g of 1[r in g(l simplex)] 1[r' in g(l simplex)]
 
-carries Lebesgue measure on translations and unit mass on SO(3).  The
-translation integral is exact, |l simplex meet (l simplex + v)| =
-(1 - phi(v))_+^3 |l simplex| (see ``_pair_average``), so only the rotations
-are sampled, as Haar-uniform random unit quaternions.  F(r, r) / |l simplex|
-= 1 exactly; all estimates below are reported in that normalization, and
-``radial_kernel`` takes the rotation average exactly.
+carries Lebesgue measure on translations and unit mass on SO(3), so that
+F(r, r) / |l simplex| = 1.  Both integrals are exact.  l simplex meets its
+translate by v in a copy of itself scaled by 1 - phi(v), with phi the gauge
+of l (simplex - simplex) (Rogers & Shephard, J. London Math. Soc. 33 (1958)
+270), so F / |l simplex| = g(|r' - r|) with g(r) = <(1 - r phi)_+^3> over
+unit directions.  A face-plane rule on the faces of the difference body
+takes such direction averages exactly; ``radial_kernel`` is g, and the
+overlap kernel, the sliding statistic and the positive-type check all read
+it.  ``random_rotations`` draws Haar rotations for Monte Carlo elsewhere.
 """
 from __future__ import annotations
 
@@ -30,16 +33,12 @@ __all__ = [
     "random_rotations",
     "overlap_kernel",
     "radial_kernel",
+    "gauge_moments",
     "gs_positive_type_check",
     "sliding_inequality_experiment",
 ]
 
 BARYCENTRIC_SLACK = 1e-12
-# rotations drawn per batch; the batch size fixes how the random streams are
-# consumed, so changing it changes every estimate.  2048 keeps a batch's
-# (rotations x pairs) arrays in cache and, up to 85 pairs, its products below
-# the size at which OpenBLAS starts a second thread
-_CHUNK = 2048
 
 
 @dataclass
@@ -74,8 +73,7 @@ class Simplex:
 def regular_tetrahedron(edge: float = 1.0) -> Simplex:
     """Regular tetrahedron centered at its centroid.
 
-    The default reference shape: among simplices it minimizes Monte Carlo
-    variance thanks to its symmetry.
+    The default reference shape of the isometry averages.
     """
     s = edge / (2.0 * math.sqrt(2.0))
     verts = s * np.array(
@@ -125,58 +123,6 @@ class SimplexTester:
         lam = (points - self.v0) @ self.inv_edges.T
         ok = np.all(lam >= -BARYCENTRIC_SLACK, axis=-1)
         return ok & (lam.sum(axis=-1) <= 1.0 + BARYCENTRIC_SLACK)
-
-
-def _pair_average(
-    separations: np.ndarray,
-    weights: np.ndarray,
-    tester: SimplexTester,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Average over isometries g of sum_p w_p 1[r_p in g] 1[r_p + s_p in g].
-
-    It is reported per unit |l simplex| with its standard error.  The
-    translation integral is exact: l simplex meets its translate by v in a
-    copy of itself scaled by 1 - phi(v), with phi(v) = 1/2 sum_k |l_k(v)|
-    over the linear parts l_k of the four barycentric coordinates (Rogers &
-    Shephard, J. London Math. Soc. 33 (1958) 270).  So each Haar rotation R
-    contributes sum_p w_p (1 - phi(R^T s_p))_+^3, drawn ``_CHUNK`` at a time.
-    """
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        rots = random_rotations(rng, m)
-        l1 = np.zeros((m, len(weights)))  # sum_k |l_k(R^T s_p)| = 2 phi
-        for a in tester.forms:  # l_k(R^T s) = (R a_k) . s
-            l1 += np.abs((rots @ a) @ separations.T)
-        scale = np.maximum(1.0 - 0.5 * l1, 0.0)
-        vals = (scale * scale * scale) @ weights
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += m
-
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    return mean, math.sqrt(var / samples)
-
-
-def overlap_kernel(
-    r: np.ndarray,
-    r_prime: np.ndarray,
-    simplex: Simplex,
-    ell: float,
-    samples: int,
-    seed=0,
-) -> tuple[float, float]:
-    """Estimate of F(r, r') / |l simplex| with its standard error."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    sep = (np.asarray(r_prime, float) - np.asarray(r, float)).reshape(1, 3)
-    return _pair_average(sep, np.ones(1), SimplexTester(simplex, ell), samples,
-                         np.random.default_rng(seed))
 
 
 def _face_triangles(simplex: Simplex, ell: float) -> tuple[np.ndarray, ...]:
@@ -240,25 +186,83 @@ def _direction_average(inner, h, d, lo, hi, sign, cut=0.0) -> np.ndarray:
     return np.sum(pieces, axis=(-2, -1)) / (4.0 * math.pi)
 
 
-def radial_kernel(r, simplex: Simplex, ell: float) -> np.ndarray:
-    """Exact F(r) / |l simplex| at separations |r|, in the shape of r.
+def _gauge_moments(triangles) -> np.ndarray:
+    """<phi^k> for k = 0, 1, 2, 3 over unit directions on the face-plane rule.
 
-    It is g(r) = <(1 - r phi(w))_+^3> over unit directions w, which
-    ``overlap_kernel`` samples.  On the face-plane rule the t-integral is
-    (h / 4r) [(1 - r/T)^4 - (1 - r/m)^4], m = max(h, r), written without the
-    cancellation at small r; each triangle is cut where T = r, its one kink.
+    The t-integrals are int_h^T h t^(-2-k) dt = h (h^(-k-1) - T^(-k-1)) / (k + 1);
+    k = 0 is the rule's mass, 1 up to rounding.
     """
-    r = np.abs(np.asarray(r, dtype=float))
-    x = r[..., None, None, None, None]
+    k = np.arange(4.0)[:, None, None, None, None]
+    return _direction_average(
+        lambda t_edge, h: h * (h ** (-k - 1) - t_edge ** (-k - 1)) / (k + 1), *triangles)
+
+
+def gauge_moments(simplex: Simplex) -> np.ndarray:
+    """<1>, <phi>, <phi^2>, <phi^3> over unit directions, phi the gauge of K.
+
+    K = simplex - simplex; <phi> = S / (12 V) by Cauchy's projection formula.
+    """
+    return _gauge_moments(_face_triangles(simplex, 1.0))
+
+
+def _truncated_kernel(x, triangles) -> np.ndarray:
+    """<(1 - x phi)_+^3> at the separations x (1-d), by the face-plane rule.
+
+    The t-integral is (h / 4x) [(1 - x/T)^4 - (1 - x/m)^4], m = max(h, x),
+    written without the cancellation at small x; each triangle is cut where
+    T = x, its one kink.
+    """
+    xb = x[:, None, None, None, None]
 
     def inner(t_edge, h):
-        m = np.maximum(h, x)
-        a, b = 1.0 - x / t_edge, 1.0 - x / m
+        m = np.maximum(h, xb)
+        a, b = 1.0 - xb / t_edge, 1.0 - xb / m
         # a^4 - b^4 = (a - b)(a + b)(a^2 + b^2), with a - b = x (T - m) / (m T)
         return (h * np.maximum(t_edge - m, 0.0) / (4.0 * m * t_edge)
                 * (a + b) * (a * a + b * b))
 
-    return _direction_average(inner, *_face_triangles(simplex, ell), cut=r[..., None])
+    return _direction_average(inner, *triangles, cut=x[:, None])
+
+
+def radial_kernel(r, simplex: Simplex, ell) -> np.ndarray:
+    """Exact F(r) / |l simplex| at separations |r|, in the broadcast shape of r and l.
+
+    It is g(r) = <(1 - r phi(w) / l)_+^3> over unit directions w, phi the
+    gauge of simplex - simplex, so g depends on x = r / l alone.  For x up
+    to h_min, the inradius of simplex - simplex, x phi <= 1 in every
+    direction and g is the cubic 1 - 3<phi>x + 3<phi^2>x^2 - <phi^3>x^3,
+    exactly 1 at x = 0; beyond it the face-plane rule takes the truncation.
+    """
+    if np.any(np.asarray(ell) <= 0):
+        raise ValueError("ell must be positive")
+    x = np.abs(np.asarray(r, dtype=float)) / ell
+    flat = x.reshape(-1)
+    triangles = _face_triangles(simplex, 1.0)
+    _, m1, m2, m3 = _gauge_moments(triangles)
+    g = 1.0 - flat * (3.0 * m1 - flat * (3.0 * m2 - flat * m3))
+    far = flat > triangles[0].min()
+    if np.any(far):
+        g[far] = _truncated_kernel(flat[far], triangles)
+    return g.reshape(x.shape)
+
+
+def overlap_kernel(
+    r: np.ndarray,
+    r_prime: np.ndarray,
+    simplex: Simplex,
+    ell: float,
+    samples: int,
+    seed=0,
+) -> tuple[float, float]:
+    """F(r, r') / |l simplex| = ``radial_kernel`` at |r' - r|, with error 0.
+
+    samples and seed are unread, kept so that callers written for the
+    former Monte Carlo estimate still run; samples below 1000 still raise.
+    """
+    if samples < 1000:
+        raise ValueError("need at least 1000 samples")
+    sep = np.asarray(r_prime, dtype=float) - np.asarray(r, dtype=float)
+    return float(radial_kernel(np.linalg.norm(sep), simplex, ell)), 0.0
 
 
 @dataclass
@@ -360,25 +364,26 @@ def sliding_inequality_experiment(
 ) -> SlidingReport:
     """Averaged restricted Coulomb sums and the normalized defect D(l).
 
-    For each l the Monte Carlo average of
+    For each l the average of
     sum_{i<j} Q_i Q_j 1[r_i in g(l simplex)] 1[r_j in g(l simplex)] / |r_i - r_j|
-    over isometries (per unit |l simplex|) is compared with the exact energy:
-    a sliding bound of Graf-Schenker type means
+    over isometries (per unit |l simplex|) is sum_{i<j} Q_i Q_j g(r_ij) / r_ij
+    with g = ``radial_kernel``, exact, so every std_error is 0.  It is compared
+    with the exact energy: a sliding bound of Graf-Schenker type means
     D(l) = (average - exact) * l / sum Q_j^2 stays bounded above uniformly.
+    samples and seed are unread, kept so that callers written for the former
+    Monte Carlo estimate still run.
     """
     exact = exact_coulomb_energy(c)
     sum_q2 = float(np.sum(c.charges**2))
     i, j = np.triu_indices(len(c), k=1)
-    separations = c.positions[j] - c.positions[i]
-    weights = c.charges[i] * c.charges[j] / c.pair_distances()[i, j]
+    dist = c.pair_distances()[i, j]
+    weights = c.charges[i] * c.charges[j] / dist
+    ells = np.asarray(ell_list, dtype=float)
+    kernel = radial_kernel(dist, simplex, ells[:, None])  # one row per l
 
     rows = []
-    for idx, ell in enumerate(np.asarray(ell_list, dtype=float)):
-        estimate, std_error = _pair_average(
-            separations, weights, SimplexTester(simplex, ell), samples,
-            np.random.default_rng([seed, idx]),
-        )
-        d_stat = (estimate - exact) * ell / sum_q2
-        rows.append(SlidingRow(ell=float(ell), estimate=estimate,
-                               std_error=std_error, D=d_stat))
+    for ell, g in zip(ells, kernel):
+        estimate = float(weights @ g)
+        rows.append(SlidingRow(ell=float(ell), estimate=estimate, std_error=0.0,
+                               D=(estimate - exact) * ell / sum_q2))
     return SlidingReport(rows=rows, exact=exact, sum_q2=sum_q2)

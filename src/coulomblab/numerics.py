@@ -1,6 +1,6 @@
 """Shared numerical substrate.
 
-Radial grids and grid functions, a Gauss-Legendre panel rule, discrete
+Radial grid functions, a Gauss-Legendre panel rule, discrete
 Legendre transforms and PSD matrix functions.  Everything here is a pure
 function of its inputs.
 """
@@ -22,22 +22,10 @@ __all__ = [
     "RadialGridFunction",
     "PsdMatrix",
     "KineticProfile",
-    "geometric_radial_grid",
     "gauss_panels",
     "legendre_transform",
     "psd_sqrt",
 ]
-
-
-def geometric_radial_grid(r_min: float, r_max: float, n: int) -> np.ndarray:
-    """Geometrically spaced radii, the default for radial sampling.
-
-    Geometric spacing resolves both the Coulomb-singular region near the
-    origin and the decay range with one grid.
-    """
-    if not (0 < r_min < r_max) or n < 2:
-        raise ValueError("need 0 < r_min < r_max and n >= 2")
-    return np.geomspace(r_min, r_max, n)
 
 
 @dataclass

@@ -1,10 +1,24 @@
-"""Quadrature oracle for 3-d Fourier transforms of radial profiles, shared by the tests."""
+"""Quadrature oracle for 3-d Fourier transforms of radial profiles, shared by the tests.
+
+It comes with the geometric radial grids that the tests sample profiles on.
+"""
 
 import math
 
 import numpy as np
 
 from coulomblab.numerics import gauss_panels
+
+
+def geometric_radial_grid(r_min: float, r_max: float, n: int) -> np.ndarray:
+    """Geometrically spaced radii, for sampling radial profiles.
+
+    Geometric spacing resolves both the Coulomb-singular region near the
+    origin and the decay range with one grid.
+    """
+    if not (0 < r_min < r_max) or n < 2:
+        raise ValueError("need 0 < r_min < r_max and n >= 2")
+    return np.geomspace(r_min, r_max, n)
 
 
 def radial_fourier_transform(f, k, coulomb_tail=False):

@@ -356,9 +356,9 @@ class TestCoulombPositiveType:
     def test_yukawa_transform_strictly_positive(self):
         # positivity of the (regularized) Coulomb transform is what turns the
         # smeared interaction into a one-sided bound
-        from fourier_oracle import radial_fourier_transform
+        from fourier_oracle import geometric_radial_grid, radial_fourier_transform
 
-        from coulomblab.numerics import RadialGridFunction, geometric_radial_grid
+        from coulomblab.numerics import RadialGridFunction
 
         eps = 1e-3
         r = geometric_radial_grid(1e-6, 50.0, 2000)

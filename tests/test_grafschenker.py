@@ -12,6 +12,9 @@ from coulomblab.grafschenker import (
     SimplexTester,
     _direction_average,
     _face_triangles,
+    _gauge_moments,
+    _truncated_kernel,
+    gauge_moments,
     random_rotations,
     gs_positive_type_check,
     overlap_kernel,
@@ -22,6 +25,7 @@ from coulomblab.grafschenker import (
 from coulomblab.numerics import RadialGridFunction
 from coulomblab.thermo import corner_tetrahedron
 from fourier_oracle import radial_fourier_transform
+from isometry_oracle import overlap_estimate, sliding_estimates
 
 SEED = 137
 
@@ -142,32 +146,37 @@ class TestOverlapKernel:
         assert est == 0.0 and err == 0.0
 
     def test_radiality_across_orientations(self):
+        # every orientation's Monte Carlo oracle lies within 3 of its sigmas
+        # of the exact kernel, which is the same up to the rounding of |r|
         simp = regular_tetrahedron()
         ell, x = 3.0, 1.2
+        exact = float(radial_kernel(x, simp, ell))
         rng = np.random.default_rng(SEED)
-        estimates, errors = [], []
         for j in range(20):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
-            e, s = overlap_kernel(
+            est, err = overlap_kernel(np.zeros(3), x * direction, simp, ell, 20000)
+            assert err == 0.0 and abs(est - exact) <= 1e-15
+            e, s = overlap_estimate(
                 np.zeros(3), x * direction, simp, ell, 20000, seed=[SEED, j]
             )
-            estimates.append(e)
-            errors.append(s)
-        estimates = np.array(estimates)
-        errors = np.array(errors)
-        mean = np.average(estimates, weights=1.0 / errors**2)
-        sigma_mean = 1.0 / math.sqrt(float(np.sum(1.0 / errors**2)))
-        z = np.abs(estimates - mean) / np.sqrt(errors**2 + sigma_mean**2)
-        assert z.max() <= 3.0
+            assert abs(e - est) <= 3.0 * s
 
     @pytest.mark.parametrize("r", [0.6, 1.2, 2.4, 2.7])
     def test_matches_radial_kernel(self, r):
         simp = regular_tetrahedron()
-        est, err = overlap_kernel(
+        est, err = overlap_kernel(np.zeros(3), np.array([r, 0.0, 0.0]), simp, 3.0, 100000)
+        assert est == radial_kernel(r, simp, 3.0) and err == 0.0
+        ref, ref_err = overlap_estimate(
             np.zeros(3), np.array([r, 0.0, 0.0]), simp, 3.0, 100000, seed=SEED
         )
-        assert abs(est - radial_kernel(r, simp, 3.0)) <= 4.0 * err
+        assert abs(est - ref) <= 4.0 * ref_err
+
+    def test_seed_and_samples_are_unread(self):
+        simp = regular_tetrahedron()
+        sep = np.array([0.3, 1.1, -0.4])
+        assert (overlap_kernel(np.zeros(3), sep, simp, 3.0, 1000, seed=1)
+                == overlap_kernel(np.zeros(3), sep, simp, 3.0, 70000, seed=[SEED, 4]))
 
     def test_minimum_samples_enforced(self):
         simp = regular_tetrahedron()
@@ -197,10 +206,12 @@ def surface_area(simplex):
                for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
 
 
+SIMPLICES = [regular_tetrahedron(), corner_tetrahedron(), random_simplex()]
+SIMPLEX_IDS = ["regular", "corner", "random"]
+
+
 class TestFacePlaneRule:
-    @pytest.mark.parametrize("simplex", [
-        regular_tetrahedron(), corner_tetrahedron(), random_simplex(),
-    ], ids=["regular", "corner", "random"])
+    @pytest.mark.parametrize("simplex", SIMPLICES, ids=SIMPLEX_IDS)
     def test_mass_and_mean_gauge(self, simplex):
         # <1> = 1, and <phi> = S / (12 V) by Cauchy's projection formula;
         # the t-integrals int_h^T h t^-2 F(1/t) dt of F = 1 and F = phi
@@ -224,6 +235,40 @@ class TestFacePlaneRule:
         assert np.abs(exact[:5] - cubic_kernel(below, phi_moments)).max() <= 1e-10
         for x, g in zip(above, exact[5:]):
             assert abs(g - np.mean(np.maximum(1.0 - x * fibonacci_phi, 0.0) ** 3)) <= 1e-10
+
+    def test_gauge_moments_match_fibonacci(self, phi_moments):
+        moments = gauge_moments(regular_tetrahedron())
+        assert abs(moments[0] - 1.0) <= 1e-14
+        assert abs(moments[1] - math.sqrt(6.0) / 2.0) <= 1e-14
+        # the 2M-point Fibonacci rule's own error on phi^3 is about 6e-10
+        assert np.abs(moments[1:] - phi_moments).max() <= 1e-9
+        # the k-th moment scales as l^-k
+        scaled = _gauge_moments(_face_triangles(regular_tetrahedron(), 3.0))
+        assert scaled == pytest.approx(moments / 3.0 ** np.arange(4), rel=1e-14)
+
+    @pytest.mark.parametrize("ell", [1.0, 3.0, 4.0])
+    @pytest.mark.parametrize("simplex", SIMPLICES, ids=SIMPLEX_IDS)
+    def test_kernel_at_zero_is_one(self, simplex, ell):
+        assert radial_kernel(0.0, simplex, ell) == 1.0
+
+    @pytest.mark.parametrize("ell", [1.0, 3.0, 4.0])
+    @pytest.mark.parametrize("simplex", SIMPLICES, ids=SIMPLEX_IDS)
+    def test_cubic_meets_the_rule_at_the_inradius(self, simplex, ell):
+        # up to l h_min the kernel is the cubic in the moments, beyond it the
+        # truncated rule: the two agree on either side of the switch
+        triangles = _face_triangles(simplex, 1.0)
+        h_min = triangles[0].min()
+        x = h_min * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+        _, m1, m2, m3 = gauge_moments(simplex)
+        cubic = 1.0 - 3.0 * m1 * x + 3.0 * m2 * x**2 - m3 * x**3
+        kernel = radial_kernel(ell * x, simplex, ell)
+        assert np.abs(kernel - cubic).max() <= 1e-14
+        assert np.abs(kernel - _truncated_kernel(x, triangles)).max() <= 1e-14
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, np.array([2.0, 0.0])])
+    def test_kernel_rejects_nonpositive_ell(self, ell):
+        with pytest.raises(ValueError):
+            radial_kernel(0.5, regular_tetrahedron(), ell)
 
     @pytest.mark.parametrize("simplex", [regular_tetrahedron(), random_simplex()],
                              ids=["regular", "random"])
@@ -305,18 +350,17 @@ class TestSlidingInequality:
         simp = regular_tetrahedron()
         d, ell = 0.8, 3.0
         config = neutral_pair(d)
-        rep = sliding_inequality_experiment(
-            config, simp, np.array([ell]), 40000, seed=SEED
-        )
-        g_est, g_err = overlap_kernel(
-            np.zeros(3), np.array([d, 0, 0]), simp, ell, 40000, seed=SEED + 1
-        )
+        rep = sliding_inequality_experiment(config, simp, np.array([ell]), 40000)
+        g, g_err = overlap_kernel(np.zeros(3), np.array([d, 0, 0]), simp, ell, 40000)
         row = rep.rows[0]
-        expected = -g_est / d
-        sigma = math.hypot(row.std_error, g_err / d)
-        assert abs(row.estimate - expected) <= 3.0 * sigma
-        # D(l) = l (1 - g(d)) / d for the pair: nonnegative within error
-        assert row.D >= -3.0 * row.std_error * ell / rep.sum_q2
+        expected = -g / d
+        assert row.std_error == 0.0 and g_err == 0.0
+        # (-1/d) g against -g/d: two roundings apart
+        assert abs(row.estimate - expected) <= 4.0 * np.finfo(float).eps * abs(expected)
+        [(ref, ref_err)] = sliding_estimates(config, simp, [ell], 40000, seed=SEED)
+        assert abs(ref - expected) <= 3.0 * ref_err
+        # D(l) = l (1 - g(d)) / (2 d) for the pair: nonnegative, as g <= 1
+        assert row.D >= 0.0
 
     def test_large_ell_approaches_exact(self):
         simp = regular_tetrahedron()
@@ -338,7 +382,7 @@ class TestSlidingInequality:
         rep2 = sliding_inequality_experiment(
             config.scaled(scale), simp, np.array([5.0 * scale]), 30000, seed=SEED
         )
-        # same Monte Carlo stream: D is exactly invariant under joint scaling
+        # g depends on d / l alone: D is invariant under joint scaling
         assert rep1.rows[0].D == pytest.approx(rep2.rows[0].D, rel=1e-12)
 
     def test_report_row_schema(self):
@@ -348,6 +392,16 @@ class TestSlidingInequality:
         )
         assert set(rep.rows[0].to_dict()) == {"ell", "estimate", "std_error", "D"}
         assert set(rep.to_dict()) == {"exact", "sum_q2", "rows"}
+
+    def test_seed_and_samples_are_unread(self):
+        simp = regular_tetrahedron()
+        config = random_neutral_configuration(
+            np.random.default_rng(SEED), n_min=6, n_max=10, box=2.0
+        )
+        ells = np.array([2.0, 8.0, 0.2]) * config.diameter
+        one = sliding_inequality_experiment(config, simp, ells, 2000, seed=1)
+        two = sliding_inequality_experiment(config, simp, ells, 90000, seed=[SEED, 3])
+        assert one.to_dict() == two.to_dict()
 
     def test_d_bounded_over_random_suite(self):
         simp = regular_tetrahedron()
@@ -390,12 +444,12 @@ class TestExactTranslationAverage:
         simp = regular_tetrahedron()
         ell = 3.0
         sep = np.array([x, 0.0, 0.0])
-        est, err = overlap_kernel(np.zeros(3), sep, simp, ell, 100000, seed=SEED)
+        est, err = overlap_kernel(np.zeros(3), sep, simp, ell, 100000)
         ref, ref_err = covering_cell_average(
             np.stack([np.zeros(3), sep]), np.array([[0.0, 1.0], [1.0, 0.0]]),
             SimplexTester(simp, ell), 200000, np.random.default_rng(SEED),
         )
-        assert abs(est - ref) <= 4.0 * math.hypot(err, ref_err)
+        assert err == 0.0 and abs(est - ref) <= 4.0 * ref_err
 
     def test_sliding_matches_covering_cell_oracle(self):
         simp = regular_tetrahedron()
@@ -403,7 +457,7 @@ class TestExactTranslationAverage:
             np.random.default_rng(SEED), n_min=6, n_max=10, box=2.0
         )
         ells = np.array([2.0, 8.0]) * config.diameter
-        rep = sliding_inequality_experiment(config, simp, ells, 20000, seed=SEED)
+        rep = sliding_inequality_experiment(config, simp, ells, 20000)
         n = len(config)
         dist = np.where(np.eye(n, dtype=bool), np.inf, config.pair_distances())
         pair_matrix = np.outer(config.charges, config.charges) / dist
@@ -412,21 +466,25 @@ class TestExactTranslationAverage:
                 config.positions, pair_matrix, SimplexTester(simp, ell), 40000,
                 np.random.default_rng([SEED, idx]),
             )
-            assert abs(row.estimate - ref) <= 4.0 * math.hypot(row.std_error, ref_err)
+            assert row.std_error == 0.0 and abs(row.estimate - ref) <= 4.0 * ref_err
 
     def test_mean_gauge_is_cauchy_projection(self, phi_moments):
         # <phi> = S / (12 V) by Cauchy's projection formula: sqrt(6)/2 at unit edge
         assert abs(phi_moments[0] - math.sqrt(6.0) / 2.0) <= 1e-9
 
     def test_kernel_is_the_exact_cubic(self, phi_moments):
-        # 1 <= phi <= sqrt 2, so (1 - x phi)_+^3 is untruncated for x <= 1/sqrt 2
+        # 1 <= phi <= sqrt 2, so (1 - x phi)_+^3 is untruncated for x <= 1/sqrt 2;
+        # the cubic in the Fibonacci moments is good to that rule's 1e-10
         simp = regular_tetrahedron()
         ell = 3.0
         for j, r in enumerate([0.3, 0.8, 1.5, 2.1]):
-            est, err = overlap_kernel(
-                np.zeros(3), np.array([0.0, r, 0.0]), simp, ell, 40000, seed=[SEED, j]
-            )
-            assert abs(est - cubic_kernel(r / ell, phi_moments)) <= 4.0 * err
+            sep = np.array([0.0, r, 0.0])
+            cubic = cubic_kernel(r / ell, phi_moments)
+            est, err = overlap_kernel(np.zeros(3), sep, simp, ell, 40000)
+            assert err == 0.0 and abs(est - cubic) <= 1e-10
+            ref, ref_err = overlap_estimate(np.zeros(3), sep, simp, ell, 40000,
+                                            seed=[SEED, j])
+            assert abs(ref - cubic) <= 4.0 * ref_err
 
     def test_cli_d_values_match_the_exact_cubic(self, cli_defaults, phi_moments):
         artifact, config = cli_defaults
@@ -439,23 +497,34 @@ class TestExactTranslationAverage:
             ell = row["ell"]
             assert np.all(r / ell <= 1.0 / math.sqrt(2.0))
             average = float(np.sum(qq * cubic_kernel(r / ell, phi_moments) / r))
-            sigma_d = row["std_error"] * ell / sum_q2
-            assert abs(d - (average - exact) * ell / sum_q2) <= 4.0 * sigma_d
+            # the cubic in the Fibonacci moments is good to 1e-10 per pair
+            tol = 1e-10 * float(np.sum(np.abs(qq) / r)) * ell / sum_q2
+            assert abs(d - (average - exact) * ell / sum_q2) <= tol
 
     def test_cli_d_values_resolved(self, cli_defaults):
-        artifact, config = cli_defaults
-        sum_q2 = float(np.sum(config.charges**2))
+        artifact, _ = cli_defaults
         assert artifact["normalization_ok"] is True
+        assert artifact["kernel_at_zero"] == 1.0
+        assert artifact["kernel_at_zero_err"] == 0.0
         for row in artifact["rows"]:
-            assert row["std_error"] * row["ell"] / sum_q2 <= 0.01
+            assert row["std_error"] == 0.0
+        assert artifact["D_values"] == pytest.approx(
+            [1.14546, 1.46080, 1.64134, 1.73732, 1.78674], abs=5e-6)
+
+    def test_cli_reports_the_rule(self, cli_defaults, phi_moments):
+        artifact, _ = cli_defaults
+        moments = np.array(artifact["phi_moments"])
+        assert abs(moments[0] - math.sqrt(6.0) / 2.0) <= 1e-14
+        assert np.abs(moments - phi_moments).max() <= 1e-9
+        assert artifact["rule_mass_error"] <= 1e-14
 
 
 class TestPinnedStreams:
     def test_estimates_pinned_across_batch_boundary(self):
-        # 70,000 and 40,000 samples cross the 2,048 rotation batches; the
-        # literals fix how the random streams are consumed
+        # the Monte Carlo oracle: 70,000 and 40,000 samples cross the 2,048
+        # rotation batches; the literals fix how the random streams are consumed
         simp = regular_tetrahedron()
-        est, err = overlap_kernel(
+        est, err = overlap_estimate(
             np.zeros(3), np.array([0.8, 0.0, 0.0]), simp, 3.0, 70000, seed=SEED
         )
         assert est == 0.30679540149252194
@@ -465,12 +534,10 @@ class TestPinnedStreams:
             [[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.7, 0.0], [0.3, 0.3, 0.5]],
             [1.0, -1.0, -1.0, 1.0], ("plus", "minus", "minus", "plus"),
         )
-        rep = sliding_inequality_experiment(
-            config, simp, np.array([2.0, 5.0]), 40000, seed=SEED
-        )
-        assert [r.estimate for r in rep.rows] == [
+        rows = sliding_estimates(config, simp, np.array([2.0, 5.0]), 40000, seed=SEED)
+        assert [estimate for estimate, _ in rows] == [
             -0.8618041765703766, -2.143618752380143,
         ]
-        assert [r.std_error for r in rep.rows] == pytest.approx(
+        assert [std_error for _, std_error in rows] == pytest.approx(
             [0.0006666534197021516, 0.0005784461122575949], rel=1e-14
         )

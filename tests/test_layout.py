@@ -97,6 +97,16 @@ def test_no_module_imports_scipy_integrate():
     assert not offenders, offenders
 
 
+def test_graf_schenker_draws_no_random_numbers():
+    # the isometry averages are exact; the Monte Carlo that estimated them
+    # is the tests' oracle, and random_rotations takes its generator
+    path = PACKAGE / "grafschenker.py"
+    calls = [node.lineno
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and "default_rng" in ast.unparse(node.func)]
+    assert not calls, calls
+
+
 def _probe(code):
     """stdout of `code` run in a fresh interpreter that imports from src."""
     env = dict(os.environ)

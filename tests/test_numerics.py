@@ -9,12 +9,11 @@ from coulomblab.numerics import (
     PsdMatrix,
     RadialGridFunction,
     gauss_panels,
-    geometric_radial_grid,
     legendre_transform,
     psd_sqrt,
 )
 
-from fourier_oracle import radial_fourier_transform
+from fourier_oracle import geometric_radial_grid, radial_fourier_transform
 
 
 def momentum_grid(n=2001, span=3.0):
