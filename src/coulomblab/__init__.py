@@ -2,8 +2,7 @@
 
 Subpackages map one-to-one onto the experiment families:
 
-- ``numerics``: grids, the Gauss-Legendre panel rule, Legendre transforms,
-  PSD matrices.
+- ``numerics``: grids, the Gauss-Legendre panel rule, Legendre transforms.
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
 - ``grafschenker``: simplex-averaged Coulomb restrictions, averaged exactly.

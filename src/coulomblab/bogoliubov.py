@@ -18,19 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, TruncationError
-from .numerics import PsdMatrix, RadialGridFunction, gauss_panels, psd_sqrt
-from .report import EnergyReport
+from .numerics import RadialGridFunction, gauss_panels
 
 __all__ = [
     "PairExcitationSpec",
-    "CondensateProfile",
     "VariationalState",
-    "RadialBasis",
-    "gamma_from_spec",
     "fock_oracle",
     "FockMomentReport",
-    "coulomb_expectation_finite_basis",
-    "total_energy_expectation",
     "bogoliubov_dispersion_min",
     "compute_I0",
     "working_i0",
@@ -72,12 +66,6 @@ class PairExcitationSpec:
     @property
     def mean_condensate_number(self) -> float:
         return self.condensate_amplitude**2
-
-
-def gamma_from_spec(s: PairExcitationSpec) -> PsdMatrix:
-    """Pair-occupation operator, diagonal lambda^2/(1-lambda^2) per mode."""
-    lam = np.asarray(s.lambdas)
-    return PsdMatrix(np.diag(lam**2 / (1.0 - lam**2)))
 
 
 def _coherent_vector(sqrt_n: float, cutoff: int) -> np.ndarray:
@@ -243,169 +231,6 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
         expected_total_mean=big_n + float(gam.sum()),
         expected_total_variance=big_n + float((2.0 * gam * (gam + 1.0)).sum()),
         n_condensate=big_n,
-    )
-
-
-def radial_volume_weights(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoidal weights for int f(r) 4 pi r^2 dr on the given nodes."""
-    r = np.asarray(nodes, dtype=float)
-    w = np.empty_like(r)
-    w[0] = 0.5 * (r[1] - r[0])
-    w[-1] = 0.5 * (r[-1] - r[-2])
-    w[1:-1] = 0.5 * (r[2:] - r[:-2])
-    return 4.0 * math.pi * r**2 * w
-
-
-@dataclass
-class CondensateProfile:
-    """Nonnegative radial condensate orbital with its particle number scale.
-
-    The profile is normalized in L^2(R^3) with respect to the trapezoidal
-    quadrature on its own grid (enforced to 1e-10).
-    """
-
-    xi0: RadialGridFunction
-    N: float
-
-    def __post_init__(self):
-        if self.N <= 0:
-            raise ValueError("particle number scale must be positive")
-        if np.any(self.xi0.values < -1e-14):
-            raise ValueError("condensate profile must be nonnegative")
-        norm = self.norm_squared()
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"profile norm^2 = {norm} not 1 within 1e-10")
-
-    def quadrature_weights(self) -> np.ndarray:
-        return radial_volume_weights(self.xi0.nodes)
-
-    def norm_squared(self) -> float:
-        return float(np.dot(self.quadrature_weights(), self.xi0.values**2))
-
-
-def gaussian_condensate(width: float, big_n: float, r_max: float | None = None,
-                        n_nodes: int = 2000) -> CondensateProfile:
-    """Grid-normalized Gaussian condensate of the given width."""
-    if r_max is None:
-        r_max = 10.0 * width
-    r = np.linspace(0.0, r_max, n_nodes)
-    vals = np.exp(-(r**2) / (2.0 * width**2))
-    w = radial_volume_weights(r)
-    vals = vals / math.sqrt(float(np.dot(w, vals**2)))
-    return CondensateProfile(RadialGridFunction(r, vals), big_n)
-
-
-@dataclass
-class RadialBasis:
-    """Orthonormal radial modes sampled on the condensate grid.
-
-    Functions are orthonormal with respect to the grid quadrature weights
-    (Gram deviation below 1e-10 enforced at use sites); derivative samples
-    travel along so the kinetic matrix keeps analytic accuracy.
-    """
-
-    nodes: np.ndarray
-    functions: np.ndarray  # (n_modes, n_nodes)
-    derivatives: np.ndarray  # (n_modes, n_nodes)
-
-
-def build_gaussian_polynomial_basis(
-    profile: CondensateProfile, n_modes: int
-) -> RadialBasis:
-    """r^j exp(-r^2/2w^2) seeds orthonormalized against the grid quadrature.
-
-    The envelope width w is a quarter of the grid's outer radius.
-    """
-    r = profile.xi0.nodes
-    width = 0.25 * r[-1]
-    env = np.exp(-(r**2) / (2 * width**2))
-    raw = np.array([r**j * env for j in range(n_modes)])
-    raw_d = np.array(
-        [
-            ((j * r ** (j - 1) if j > 0 else np.zeros_like(r)) - r ** (j + 1) / width**2)
-            * env
-            for j in range(n_modes)
-        ]
-    )
-    w = profile.quadrature_weights()
-    funcs = raw.copy()
-    ders = raw_d.copy()
-    for rep in range(2):  # twice through modified Gram-Schmidt
-        for i in range(n_modes):
-            for j in range(i):
-                c = float(np.dot(w * funcs[j], funcs[i]))
-                funcs[i] -= c * funcs[j]
-                ders[i] -= c * ders[j]
-            nrm = math.sqrt(float(np.dot(w * funcs[i], funcs[i])))
-            funcs[i] /= nrm
-            ders[i] /= nrm
-    return RadialBasis(nodes=r, functions=funcs, derivatives=ders)
-
-
-def _check_gram(basis: RadialBasis, w: np.ndarray):
-    gram = basis.functions @ (w[:, None] * basis.functions.T)
-    dev = float(np.abs(gram - np.eye(len(basis.functions))).max())
-    if dev > 1e-10:
-        raise ValueError(f"basis Gram deviation {dev:.3e} exceeds 1e-10")
-
-
-def _coulomb_kernel_matrix(profile: CondensateProfile, basis: RadialBasis) -> np.ndarray:
-    """Matrix of xi0(r) |r-r'|^-1 xi0(r') in the radial basis.
-
-    The s-wave angular average of the Coulomb kernel is 1/max(r, r'), so the
-    matrix reduces to a double radial quadrature with the profile's weights.
-    """
-    r = profile.xi0.nodes
-    w = profile.quadrature_weights()
-    kern = 1.0 / np.maximum.outer(np.maximum(r, 1e-300), np.maximum(r, 1e-300))
-    weighted = (w * profile.xi0.values)[:, None] * kern * (w * profile.xi0.values)[None, :]
-    return basis.functions @ weighted @ basis.functions.T
-
-
-def coulomb_expectation_finite_basis(
-    profile: CondensateProfile, gamma0: PsdMatrix, basis: RadialBasis
-) -> float:
-    """N Tr( K (gamma0 - sqrt(gamma0 (gamma0 + 1))) ) in the given basis."""
-    w = profile.quadrature_weights()
-    _check_gram(basis, w)
-    if gamma0.dim != len(basis.functions):
-        raise ValueError("gamma0 dimension does not match the basis")
-    kmat = _coulomb_kernel_matrix(profile, basis)
-    g = gamma0.entries
-    root = psd_sqrt(PsdMatrix(g @ (g + np.eye(gamma0.dim)))).entries
-    return profile.N * float(np.trace(kmat @ (g - root)))
-
-
-def total_energy_expectation(
-    profile: CondensateProfile,
-    gamma0: PsdMatrix,
-    basis: RadialBasis,
-) -> EnergyReport:
-    """Condensate kinetic + pair kinetic + pair Coulomb expectation.
-
-    (N/2) int |grad xi0|^2 + (1/2) Tr(-Lap gamma0)
-        + N Tr( K (gamma0 - sqrt(gamma0(gamma0+1))) ).
-    """
-    w = profile.quadrature_weights()
-    _check_gram(basis, w)
-
-    xi_d = profile.xi0.spline.derivative()(profile.xi0.nodes)
-    condensate_kin = 0.5 * profile.N * float(np.dot(w, xi_d**2))
-
-    lap = basis.derivatives @ (w[:, None] * basis.derivatives.T)
-    pair_kin = 0.5 * float(np.trace(lap @ gamma0.entries))
-
-    pair_coulomb = coulomb_expectation_finite_basis(profile, gamma0, basis)
-
-    return EnergyReport(
-        name="total_energy_expectation",
-        terms={
-            "condensate_kinetic": condensate_kin,
-            "pair_kinetic": pair_kin,
-            "pair_coulomb": pair_coulomb,
-        },
-        provenance={"N": profile.N, "basis_dim": gamma0.dim,
-                    "grid_nodes": len(profile.xi0.nodes)},
     )
 
 

@@ -45,6 +45,13 @@ DEFAULT_TOLERANCES = {
 # oscillations of the filled mode count, which a handful of sides can alias
 THERMO_LIMIT_SCALES = np.linspace(12.0, 32.0, 41)
 
+# (charges, mass) of the few-body stability-of-the-first-kind demonstrations
+FIRST_KIND_CASES = (
+    ((1.0, -1.0), 1.0),
+    ((1.0, -1.0, 0.5), 1.3),
+    ((2.0, -2.0), 1.0),
+)
+
 @dataclass
 class RunConfig:
     seed: int = DEFAULT_SEED
@@ -243,7 +250,13 @@ def _run_stability(cfg: RunConfig) -> int:
                 ok = ok and finite
                 rows.append({"mu": mu, "m_plus": m_plus, "m_minus": m_minus,
                              "Q": q, "minimum": value, "finite": bool(finite)})
-    _emit(cfg, {"pass": ok}, rows=rows, header={"pass": ok})
+    first_kind = []
+    for charges, mass in FIRST_KIND_CASES:
+        demo = operators.stability_first_kind_demo(charges, mass=mass)
+        ok = ok and demo["holds"]
+        first_kind.append({"charges": list(charges), "mass": mass, **demo})
+    header = {"first_kind": first_kind, "pass": ok}
+    _emit(cfg, header, rows=rows, header=header)
     return 0 if ok else 1
 
 

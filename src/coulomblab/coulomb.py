@@ -17,7 +17,6 @@ uses).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .report import EnergyReport
 
 __all__ = [
     "ChargeConfiguration",
-    "SmearedConfiguration",
     "exact_coulomb_energy",
     "nearest_opposite_distances",
     "newton_smeared_potential",
@@ -39,6 +37,10 @@ __all__ = [
 ]
 
 COINCIDENCE_REL_TOL = 1e-12
+
+# Coulomb energy of the normalized uniform ball of unit diameter with itself;
+# a ball of diameter delta has UNIT_BALL_SELF_ENERGY / delta
+UNIT_BALL_SELF_ENERGY = 12.0 / 5.0
 
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
@@ -82,8 +84,11 @@ class ChargeConfiguration:
             raise ValueError("charge sign does not match species label")
         self._distances = _distance_matrix(self.positions)
         if n >= 2:
-            diam = float(self._distances.max())
-            dmin = float(np.where(np.eye(n, dtype=bool), np.inf, self._distances).min())
+            # a view of the off-diagonal entries: past the first entry, every
+            # run of n + 1 entries of the flat matrix ends on the diagonal
+            pairs = self._distances.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+            diam = float(pairs.max())
+            dmin = float(pairs.min())
             if dmin <= COINCIDENCE_REL_TOL * max(diam, 1.0):
                 raise CoincidentChargesError(
                     f"minimal separation {dmin:.3e} below coincidence tolerance"
@@ -104,44 +109,6 @@ class ChargeConfiguration:
 
     def scaled(self, s: float) -> "ChargeConfiguration":
         return ChargeConfiguration(self.positions * s, self.charges, self.species)
-
-    def to_json(self) -> str:
-        rows = [
-            {"position": list(map(float, p)), "charge": float(q), "species": s}
-            for p, q, s in zip(self.positions, self.charges, self.species)
-        ]
-        return json.dumps(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChargeConfiguration":
-        rows = json.loads(text)
-        return cls(
-            positions=[r["position"] for r in rows],
-            charges=[r["charge"] for r in rows],
-            species=tuple(r["species"] for r in rows),
-        )
-
-
-@dataclass
-class SmearedConfiguration:
-    """Charge configuration together with its smearing radii delta_j."""
-
-    base: ChargeConfiguration
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        self.deltas = np.asarray(self.deltas, dtype=float).reshape(-1)
-        if len(self.deltas) != len(self.base):
-            raise ValueError("one delta per particle required")
-        if not np.all(self.deltas > 0):
-            raise ValueError("deltas must be positive")
-        d = self.base.pair_distances()
-        same = np.equal.outer(self.base.species, self.base.species)
-        opp = ~same
-        np.fill_diagonal(opp, False)
-        for j in range(len(self.base)):
-            if opp[j].any() and self.deltas[j] > d[j][opp[j]].min() * (1 + 1e-12):
-                raise ValueError("delta exceeds nearest opposite-species distance")
 
 
 def exact_coulomb_energy(c: ChargeConfiguration) -> float:
@@ -190,7 +157,7 @@ def smeared_self_energy(delta: float) -> float:
     """Mutual Coulomb energy of the normalized ball with itself: 12/(5 delta)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return 12.0 / (5.0 * delta)
+    return UNIT_BALL_SELF_ENERGY / delta
 
 
 def _overlap_interaction(a, b, d, s, d_cap):
@@ -292,11 +259,11 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
         pair_sum += float(np.sum(qq[overlap] * smeared_pair_interactions(
             deltas[i[overlap]], deltas[j[overlap]], dist[overlap])))
     q2_over_delta = float(np.sum(c.charges**2 / deltas))
-    half_self = 0.5 * (12.0 / 5.0) * q2_over_delta
+    half_self = 0.5 * UNIT_BALL_SELF_ENERGY * q2_over_delta
     smeared_interaction = pair_sum + half_self
-    self_correction = -(12.0 / 5.0) * q2_over_delta
-    final_bound = -(12.0 / 5.0) * q2_over_delta
-    stronger_bound = -(6.0 / 5.0) * q2_over_delta
+    self_correction = -UNIT_BALL_SELF_ENERGY * q2_over_delta
+    final_bound = -UNIT_BALL_SELF_ENERGY * q2_over_delta
+    stronger_bound = -(0.5 * UNIT_BALL_SELF_ENERGY) * q2_over_delta
 
     scale = abs(exact) + abs(final_bound) + 1e-300
     slack = 1e-10 * scale

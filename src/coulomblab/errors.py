@@ -13,10 +13,6 @@ class SlopeRangeError(ValueError):
     """Legendre dual variable lies outside the attained slope range."""
 
 
-class NotPsdError(ValueError):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
 class CoincidentChargesError(ValueError):
     """Two point charges closer than the coincidence tolerance."""
 

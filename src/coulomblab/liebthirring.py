@@ -19,10 +19,8 @@ import numpy as np
 __all__ = [
     "LtParameters",
     "SpeciesSpec",
-    "lt_rhs",
     "classical_lt_constant",
     "box_kinetic_lower_bound",
-    "opposite_charge_potential_bound",
     "stability_constant",
     "dirichlet_cube_kinetic_sum",
     "lowest_cube_mode_energies",
@@ -71,16 +69,6 @@ class SpeciesSpec:
             raise ValueError("masses and charge magnitudes must be positive")
 
 
-def lt_rhs(v: np.ndarray, cell_volume: float, p: LtParameters) -> float:
-    """-C m^(3/2) nu int V^(5/2) by grid quadrature over 3-d samples."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("potential samples must be nonnegative")
-    if cell_volume <= 0:
-        raise ValueError("cell volume must be positive")
-    return -p.C_lt * p.m**1.5 * p.nu * float(np.sum(v**2.5)) * cell_volume
-
-
 def box_kinetic_lower_bound(n: int, volume: float, p: LtParameters) -> float:
     """Kinetic lower bound for n fermions in a region of given volume.
 
@@ -99,28 +87,6 @@ def box_kinetic_lower_bound(n: int, volume: float, p: LtParameters) -> float:
 def _well_constant(p: LtParameters) -> float:
     """C (2m)^(3/2) nu (12/5)^(5/2) 8 pi: the attraction-well factor of q^5."""
     return p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
-
-
-def opposite_charge_potential_bound(
-    n_opposite: int, volume: float, q: float, p: LtParameters
-) -> tuple[float, float]:
-    """Optimized split of the smeared-attraction potential energy.
-
-    Minimizes n R^(1/2) + volume R^(-5/2) over R > 0 (stationary point
-    R* = (5 volume / n)^(1/3)) and returns (R*, bound) with
-
-        bound = -C (2m)^(3/2) nu (12/5)^(5/2) 8 pi q^5 * minimum.
-
-    The factor (2m)^(3/2) reflects that only half of the kinetic energy is
-    spent against the attraction wells; 8 pi is the inside-ball integral
-    int_{|r|<R} |r|^(-5/2) dr = 8 pi sqrt(R), applied to both terms, which
-    only weakens (never invalidates) the bound since 8 pi > 1.
-    """
-    if n_opposite < 1 or volume <= 0 or q <= 0:
-        raise ValueError("inputs must be positive")
-    r_star = (5.0 * volume / n_opposite) ** (1.0 / 3.0)
-    minimum = n_opposite * math.sqrt(r_star) + volume * r_star ** (-2.5)
-    return r_star, -_well_constant(p) * q**5 * minimum
 
 
 def _density_coefficients(

@@ -1,30 +1,22 @@
 """Shared numerical substrate.
 
-Radial grid functions, a Gauss-Legendre panel rule, discrete
-Legendre transforms and PSD matrix functions.  Everything here is a pure
-function of its inputs.
+Radial grid functions, a Gauss-Legendre panel rule and discrete
+Legendre transforms.  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvexityError, NotPsdError, SlopeRangeError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .errors import ConvexityError, SlopeRangeError
 
 __all__ = [
     "RadialGridFunction",
-    "PsdMatrix",
     "KineticProfile",
     "gauss_panels",
     "legendre_transform",
-    "psd_sqrt",
 ]
 
 
@@ -52,52 +44,10 @@ class RadialGridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
-    @cached_property
-    def spline(self) -> CubicSpline:
-        """Cubic interpolant through the nodes, built once and cached."""
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.nodes, self.values, extrapolate=True)
-
     def __call__(self, r):
-        """Cubic interpolant inside the grid, zero beyond it."""
-        r = np.asarray(r, dtype=float)
-        out = np.where(r > self.nodes[-1], 0.0, self.spline(r))
-        return out if out.ndim else float(out)
-
-
-@dataclass
-class PsdMatrix:
-    """Real symmetric positive semidefinite matrix.
-
-    ``min_eig_tolerance`` is the absolute amount of negative spectrum that is
-    forgiven (and clamped to zero by matrix functions); candidates from
-    numerical minimization routinely carry eigenvalues at -1e-14 * norm.
-    The default is 1e-10 times the spectral scale.
-    """
-
-    entries: np.ndarray
-    min_eig_tolerance: float | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        scale = float(np.abs(m).max()) if m.size else 0.0
-        if not np.allclose(m, m.T, atol=64 * np.finfo(float).eps * max(scale, 1.0)):
-            raise ValueError("matrix is not symmetric to machine precision")
-        self.entries = 0.5 * (m + m.T)
-        if self.min_eig_tolerance is None:
-            self.min_eig_tolerance = 1e-10 * max(scale, 1.0)
-        w = np.linalg.eigvalsh(self.entries)
-        if w.size and w.min() < -self.min_eig_tolerance:
-            raise NotPsdError(
-                f"eigenvalue {w.min():.3e} below -{self.min_eig_tolerance:.3e}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        """Piecewise-linear interpolant inside the grid, zero beyond it."""
+        out = np.interp(r, self.nodes, self.values, right=0.0)
+        return out if np.ndim(out) else float(out)
 
 
 @dataclass
@@ -189,15 +139,3 @@ def gauss_panels(f, edges) -> float:
     x = mid[:, None] + half[:, None] * _GAUSS_NODES
     out = np.sum(half * (f(x) @ _GAUSS_WEIGHTS), axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def psd_sqrt(m: PsdMatrix) -> PsdMatrix:
-    """Symmetric square root via eigendecomposition.
-
-    Eigenvalues in [-min_eig_tolerance, 0) are clamped to zero; anything
-    lower raises NotPsdError (PsdMatrix construction enforces this already).
-    """
-    w, u = np.linalg.eigh(m.entries)
-    w = np.where(w < 0.0, 0.0, w)
-    root = (u * np.sqrt(w)) @ u.T
-    return PsdMatrix(0.5 * (root + root.T), min_eig_tolerance=m.min_eig_tolerance)

@@ -13,7 +13,6 @@ hold to rounding on band-limited inputs.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,9 @@ __all__ = [
     "wavevectors",
     "magnetic_kinetic_quadratic_form",
     "diamagnetic_sobolev_check",
-    "coulomb_split",
-    "schroedinger_lower_bound_eval",
     "lichnerowicz_check",
     "sobolev_test_constant",
     "schrodinger_bound_constant",
-    "write_field",
-    "read_field",
     "random_band_limited_field",
     "envelope_window",
     "stability_first_kind_demo",
@@ -215,49 +210,6 @@ def diamagnetic_sobolev_check(
     return lhs, mid, sob
 
 
-def coulomb_split(a: float) -> tuple[float, float]:
-    """L^(5/2) + L^infinity split of the Coulomb potential at radius a.
-
-    V1 = 1/r on r < a gives int V1^(5/2) = 8 pi sqrt(a); V2 = 1/r on r >= a
-    gives sup V2 = 1/a.  The product (int V1^(5/2))^2 sup V2 = 64 pi^2 is
-    scale free.
-    """
-    if a <= 0:
-        raise ValueError("cutoff must be positive")
-    return 8.0 * math.pi * math.sqrt(a), 1.0 / a
-
-
-def schroedinger_lower_bound_eval(
-    f: PeriodicField,
-    a: PeriodicField | None,
-    v1: PeriodicField,
-    v2: PeriodicField,
-    c: float | None = None,
-) -> tuple[float, float]:
-    """Quadratic form of (-i grad + A)^2 - V1 - V2 against its lower bound.
-
-    Returns (quad_form, bound) with
-    bound = -C (int V1^(5/2) + sup V2) ||f||^2 and raises
-    BoundViolationError if the form dips below the bound.
-    """
-    if c is None:
-        c = schrodinger_bound_constant()
-    _same_grid(f, v1, v2)
-    for v in (v1, v2):
-        if np.any(v.data.real < -1e-12) or np.abs(v.data.imag).max() > 1e-12:
-            raise ValueError("potentials must be nonnegative real fields")
-    quad_form = magnetic_kinetic_quadratic_form(f, a, 1.0, 0.5)
-    dens = np.abs(f.data[0]) ** 2
-    quad_form -= grid_integral((v1.data[0].real + v2.data[0].real) * dens, f)
-    norm2 = grid_integral(dens, f)
-    int_v1 = grid_integral(v1.data[0].real ** 2.5, f)
-    sup_v2 = float(v2.data[0].real.max())
-    bound = -c * (int_v1 + sup_v2) * norm2
-    if quad_form < bound - 1e-9 * (abs(bound) + 1.0):
-        raise BoundViolationError(f"form {quad_form} below bound {bound}")
-    return quad_form, bound
-
-
 _PAULI = [
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -348,24 +300,6 @@ def lichnerowicz_check(
     res = float(np.sqrt((np.abs(diff) ** 2).sum(axis=0)).max())
     scale = float(np.sqrt((np.abs(lhs) ** 2).sum(axis=0)).max())
     return LichnerowiczResult(max_residual=res, scale=scale)
-
-
-_HEADER = struct.Struct("<IdI")
-
-
-def write_field(field: PeriodicField, path: str):
-    """Flat little-endian layout: header (grid_n, box_len, components) then
-    row-major complex128 samples (pairs of 64-bit floats)."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(field.grid_n, field.box_len, field.components))
-        fh.write(np.ascontiguousarray(field.data.astype("<c16")).tobytes())
-
-
-def read_field(path: str) -> PeriodicField:
-    with open(path, "rb") as fh:
-        n, box_len, comps = _HEADER.unpack(fh.read(_HEADER.size))
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-    return PeriodicField(box_len, raw.reshape(comps, n, n, n).astype(complex))
 
 
 def envelope_window(n: int, width_frac: float = 0.18) -> np.ndarray:

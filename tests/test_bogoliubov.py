@@ -5,34 +5,20 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from coulomblab.bogoliubov import (
-    CondensateProfile,
     PairExcitationSpec,
     bogoliubov_dispersion_min,
-    build_gaussian_polynomial_basis,
     compute_I0,
-    coulomb_expectation_finite_basis,
     dyson_pipeline,
     dyson_variational_solve,
     fock_oracle,
-    gamma_from_spec,
-    gaussian_condensate,
     semiclassical_p_integral,
-    total_energy_expectation,
     working_i0,
 )
 from coulomblab.errors import ConvergenceError, TruncationError
-from coulomblab.numerics import PsdMatrix, RadialGridFunction, psd_sqrt
+from coulomblab.numerics import RadialGridFunction
 
 
-class TestGammaFromSpec:
-    def test_zero_lambdas(self):
-        g = gamma_from_spec(PairExcitationSpec((0.0, 0.0), 1.0))
-        assert np.allclose(g.entries, 0.0)
-
-    def test_half(self):
-        g = gamma_from_spec(PairExcitationSpec((0.5,), 0.0))
-        assert g.entries[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
-
+class TestPairExcitationSpec:
     def test_near_one_rejected(self):
         with pytest.raises(ValueError):
             PairExcitationSpec((1.0 - 1e-9,), 0.0)
@@ -187,69 +173,6 @@ class TestFockOracle:
             fock_oracle(
                 PairExcitationSpec((0.9,), condensate_amplitude=5.0), truncation=30
             )
-
-
-class TestCoulombExpectation:
-    def setup_method(self):
-        self.profile = gaussian_condensate(1.0, big_n=10.0, n_nodes=1200, r_max=12.0)
-        self.basis = build_gaussian_polynomial_basis(self.profile, 6)
-
-    def test_zero_gamma(self):
-        val = coulomb_expectation_finite_basis(
-            self.profile, PsdMatrix(np.zeros((6, 6))), self.basis
-        )
-        assert val == 0.0
-
-    def test_rank_one_sign(self):
-        u = np.zeros(6)
-        u[0] = 1.0
-        t = 0.7
-        g = PsdMatrix(t * np.outer(u, u))
-        val = coulomb_expectation_finite_basis(self.profile, g, self.basis)
-        assert val < 0.0
-        # trace reduces to (t - sqrt(t(t+1))) <u|K|u>
-        factor = t - math.sqrt(t * (t + 1.0))
-        assert val / factor > 0.0
-
-    def test_eigendecomposition_route(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 6))
-        g = PsdMatrix(a.T @ a)
-        main = coulomb_expectation_finite_basis(self.profile, g, self.basis)
-
-        # independent route: scalar function through the eigenbasis
-        from coulomblab.bogoliubov import _coulomb_kernel_matrix
-
-        kmat = _coulomb_kernel_matrix(self.profile, self.basis)
-        w, u = np.linalg.eigh(g.entries)
-        func = (u * (w - np.sqrt(w * (w + 1.0)))) @ u.T
-        oracle = self.profile.N * float(np.trace(kmat @ func))
-        assert main == pytest.approx(oracle, abs=1e-10 * (1.0 + abs(oracle)))
-
-
-class TestTotalEnergy:
-    def test_pure_condensate_term(self):
-        profile = gaussian_condensate(1.5, big_n=20.0, n_nodes=3000, r_max=18.0)
-        basis = build_gaussian_polynomial_basis(profile, 4)
-        rep = total_energy_expectation(profile, PsdMatrix(np.zeros((4, 4))), basis)
-        assert rep.terms["pair_kinetic"] == 0.0
-        assert rep.terms["pair_coulomb"] == 0.0
-        # Gaussian of width w: int |grad xi0|^2 = 3 / (2 w^2)
-        expected = 0.5 * 20.0 * 1.5 / (1.5**2 * 2.0) * 2.0
-        assert rep.terms["condensate_kinetic"] == pytest.approx(
-            0.5 * 20.0 * 3.0 / (2.0 * 1.5**2), rel=1e-5
-        )
-        assert rep.terms["condensate_kinetic"] == pytest.approx(expected, rel=1e-5)
-
-    def test_term_signs(self):
-        profile = gaussian_condensate(1.0, big_n=5.0, n_nodes=1200, r_max=12.0)
-        basis = build_gaussian_polynomial_basis(profile, 5)
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((5, 5))
-        rep = total_energy_expectation(profile, PsdMatrix(0.1 * a.T @ a), basis)
-        assert rep.terms["pair_kinetic"] >= 0.0
-        assert rep.terms["pair_coulomb"] <= 0.0
-        assert rep.total == pytest.approx(sum(rep.terms.values()))
 
 
 class TestDispersionMin:
@@ -445,32 +368,3 @@ class TestDysonPipeline:
     def test_rejects_bad_n(self, solved_state):
         with pytest.raises(ValueError):
             dyson_pipeline(n_list=(0.0,), state=solved_state)
-
-
-class TestCondensateProfile:
-    def test_norm_enforced(self):
-        r = np.linspace(0.0, 10.0, 500)
-        with pytest.raises(ValueError):
-            CondensateProfile(RadialGridFunction(r, np.exp(-r)), N=5.0)
-
-    def test_gaussian_constructor_normalized(self):
-        prof = gaussian_condensate(2.0, big_n=3.0)
-        assert prof.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_profile_rejected(self):
-        r = np.linspace(0.0, 10.0, 500)
-        vals = np.exp(-r)
-        vals[5] = -0.2
-        with pytest.raises(ValueError):
-            CondensateProfile(RadialGridFunction(r, vals), N=2.0)
-
-
-class TestPsdRoutes:
-    def test_sqrt_product_route_matches_eig(self):
-        rng = np.random.default_rng(77)
-        a = rng.standard_normal((6, 6))
-        g = PsdMatrix(a.T @ a)
-        w, u = np.linalg.eigh(g.entries)
-        oracle = (u * np.sqrt(w * (w + 1.0))) @ u.T
-        via_product = psd_sqrt(PsdMatrix(g.entries @ (g.entries + np.eye(6))))
-        assert np.abs(via_product.entries - oracle).max() < 1e-10

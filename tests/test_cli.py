@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coulomblab import bogoliubov, thermo
+from coulomblab import bogoliubov, operators, thermo
 from coulomblab.cli import DEFAULT_SEED, THERMO_LIMIT_SCALES, main
 from coulomblab.errors import ConvergenceError
 from coulomblab.report import EnergyReport, dumps_canonical, format_float, rows_to_csv
@@ -195,6 +195,14 @@ class TestCliContract:
     def test_stability_constant_bytes_across_blas_threads(self):
         art = json.loads(self._stdout_across_blas_threads("stability-constant"))
         assert art["pass"] is True and len(art["rows"]) == 12
+        # the few-body stability of the first kind, (1, -1) and (2, -2) at
+        # mass 1 and (1, -1, 1/2) at mass 1.3
+        cases = [(tuple(e["charges"]), e["mass"]) for e in art["first_kind"]]
+        assert cases == [((1, -1), 1), ((1, -1, 0.5), 1.3), ((2, -2), 1)]
+        for entry, (charges, mass) in zip(art["first_kind"], cases):
+            assert entry["holds"] is True and entry["margin"] > 0
+            demo = operators.stability_first_kind_demo(charges, mass=mass)
+            assert {k: entry[k] for k in demo} == demo
 
     def test_thermo_limit_bytes_across_blas_threads(self):
         art = json.loads(self._stdout_across_blas_threads("thermo-limit"))

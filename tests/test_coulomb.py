@@ -7,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 
 from coulomblab.coulomb import (
     ChargeConfiguration,
-    SmearedConfiguration,
     exact_coulomb_energy,
     nearest_opposite_distances,
     newton_smeared_potential,
@@ -147,6 +146,12 @@ class TestExactCoulomb:
             ChargeConfiguration(
                 [[0, 0, 0], [0, 0, 1e-15]], [1.0, -1.0], ("plus", "minus")
             )
+        # the coincident pair sits away from the first charge and the diagonal
+        with pytest.raises(CoincidentChargesError):
+            ChargeConfiguration(
+                [[0, 0, 0], [4, 0, 0], [1, 2, 3], [1, 2, 3 + 1e-15]],
+                [1.0, -1.0, 1.0, -1.0], ("plus", "minus", "plus", "minus"),
+            )
 
     def test_distance_matrix_shared_and_frozen(self):
         pos = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
@@ -165,13 +170,6 @@ class TestExactCoulomb:
         onsager_lower_bound(c)
         assert c.diameter == math.sqrt(29.0)
         assert np.array_equal(np.diag(d), np.zeros(3))
-
-    def test_json_round_trip(self):
-        c = random_neutral_configuration(np.random.default_rng(3))
-        back = ChargeConfiguration.from_json(c.to_json())
-        assert np.allclose(back.positions, c.positions)
-        assert np.allclose(back.charges, c.charges)
-        assert back.species == c.species
 
 
 class TestNearestOpposite:
@@ -344,12 +342,6 @@ class TestSmearedEnergies:
             smeared_pair_interactions([1.0], [0.0], [0.1])
         with pytest.raises(ValueError):
             smeared_pair_interactions([1.0], [1.0], [-0.1])
-
-    def test_smeared_configuration_validates_deltas(self):
-        c = pair_config(1.0)
-        SmearedConfiguration(c, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            SmearedConfiguration(c, [1.5, 1.0])
 
 
 class TestCoulombPositiveType:

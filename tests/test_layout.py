@@ -56,36 +56,58 @@ def test_all_names_exist():
 
 
 def _imported_modules():
-    """(file name, module) for every absolute import in the package."""
+    """(file name, owner, module) for every absolute import in the package.
+
+    The owner is the top-level def or class that holds the import, or None
+    for an import at module level.
+    """
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-                names += [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            yield from ((path.name, name) for name in names)
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                    names += [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                yield from ((path.name, owner, name) for name in names)
 
 
 def _importers_of(package):
-    return [f"{file}: {name}" for file, name in _imported_modules()
+    return [f"{file}: {name}" for file, _, name in _imported_modules()
             if name == package or name.startswith(package + ".")]
 
 
+def test_scipy_only_in_thermo_and_the_dyson_solve():
+    # scipy serves two calls: thermo's sparse eigensolve (eigsh, splu and
+    # their TYPE_CHECKING block) and the banded Newton step of
+    # bogoliubov.dyson_variational_solve
+    offenders = [f"{file}: {owner}: {name}"
+                 for file, owner, name in _imported_modules()
+                 if name.split(".")[0] == "scipy" and file != "thermo.py"
+                 and (file, owner) != ("bogoliubov.py", "dyson_variational_solve")]
+    assert not offenders, offenders
+
+
+def test_no_module_imports_scipy_interpolate():
+    # RadialGridFunction interpolates by np.interp; the tests' Fourier
+    # oracle builds its own CubicSpline
+    offenders = _importers_of("scipy.interpolate")
+    assert not offenders, offenders
+
+
 def test_no_module_imports_scipy_optimize():
-    # scipy loads only inside the functions that call it, and there
-    # scipy.interpolate loads scipy.optimize itself, so only the source can
-    # tell whether a module imports it
+    # scipy loads only inside the functions that call it, so only the
+    # source can tell whether a module imports it
     offenders = _importers_of("scipy.optimize")
     assert not offenders, offenders
 
 
 def test_no_module_imports_mpmath_or_scipy_special():
-    # the 1/r tail and log n! need neither; a function that builds a
-    # CubicSpline still loads scipy.special through scipy.interpolate, so
-    # again only the source can tell
+    # the 1/r tail and log n! need neither, and as scipy loads only inside
+    # the functions that call it, again only the source can tell
     offenders = _importers_of("mpmath") + _importers_of("scipy.special")
     assert not offenders, offenders
 
@@ -140,6 +162,20 @@ from coulomblab import thermo
 thermo.rasterized_dirichlet_energy(thermo.BoxDomain(7.0), -3.75, 1.0, 0.5)
 corner = thermo.SimplexDomain(thermo.corner_tetrahedron(), 12.0)
 thermo.rasterized_dirichlet_energy(corner, -5.0, 1.0, 0.6)
+print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
+"""
+    assert _probe(probe).split() == []
+
+
+def test_radial_grid_function_leaves_scipy_out():
+    # evaluating a radial profile, as the Dyson solve does with its init,
+    # interpolates on numpy alone
+    probe = """
+import sys
+import numpy as np
+from coulomblab.numerics import RadialGridFunction
+f = RadialGridFunction(np.linspace(0.0, 2.0, 9), np.linspace(1.0, 0.0, 9))
+f(np.linspace(0.0, 3.0, 7)), f(1.3)
 print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
 """
     assert _probe(probe).split() == []

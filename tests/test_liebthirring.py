@@ -17,8 +17,6 @@ from coulomblab.liebthirring import (
     dirichlet_cube_kinetic_sum,
     ladder_levels_below,
     lowest_cube_mode_energies,
-    lt_rhs,
-    opposite_charge_potential_bound,
     stability_constant,
 )
 
@@ -53,16 +51,6 @@ def semiclassical_phase_space_energy(v, cell_volume, m):
     return value, kappa
 
 
-def midpoint_ball_grid(radius, n):
-    """Midpoint samples of 1/r inside the ball, zero outside."""
-    h = 2.0 * radius / n
-    ax = -radius + (np.arange(n) + 0.5) * h
-    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    r = np.sqrt(x**2 + y**2 + z**2)
-    v = np.where(r < radius, 1.0 / r, 0.0)
-    return v.ravel(), h**3
-
-
 def brute_force_levels(threshold, side, mass, ndim, strict):
     """Dirichlet cube levels below threshold by looping over index tuples."""
     scale = math.pi**2 / (2.0 * mass * side**2)
@@ -75,39 +63,6 @@ def brute_force_levels(threshold, side, mass, ndim, strict):
         if e < threshold:
             levels.append(e)
     return sorted(levels)
-
-
-class TestLtRhs:
-    def test_zero_potential(self):
-        p = LtParameters(m=1.0, C_lt=1.0)
-        assert lt_rhs(np.zeros(100), 0.1, p) == 0.0
-
-    def test_constant_potential_on_unit_box(self):
-        p = LtParameters(m=2.0, nu=3, C_lt=0.7)
-        v = np.full(64**3, 1.7)
-        got = lt_rhs(v, 1.0 / 64**3, p)
-        assert got == pytest.approx(-0.7 * 2.0**1.5 * 3 * 1.7**2.5, rel=1e-12)
-
-    def test_coulomb_ball_against_radial_oracle(self):
-        # oracle: int_{r<a} r^(-5/2) = 8 pi sqrt(a) by radial quadrature
-        a = 1.3
-        oracle, _ = quad(lambda r: 4.0 * math.pi * r**2 * r**-2.5, 0.0, a)
-        assert oracle == pytest.approx(8.0 * math.pi * math.sqrt(a), rel=1e-10)
-        # the r^(-5/2) singularity slows grid convergence to O(sqrt(h));
-        # check the value at moderate resolution and that refining helps
-        p = LtParameters(m=1.0, C_lt=1.0)
-        errors = []
-        for n in (80, 160):
-            v, cell = midpoint_ball_grid(a, n)
-            got = lt_rhs(v, cell, p)
-            errors.append(abs(got + oracle) / oracle)
-        assert errors[-1] < 0.09
-        assert errors[-1] < errors[0]
-
-    def test_negative_sample_rejected(self):
-        p = LtParameters(m=1.0)
-        with pytest.raises(ValueError):
-            lt_rhs(np.array([1.0, -0.1]), 1.0, p)
 
 
 class TestSemiclassicalPhaseSpace:
@@ -177,38 +132,6 @@ class TestBoxBound:
     def test_rejects_zero_particles(self):
         with pytest.raises(ValueError):
             box_kinetic_lower_bound(0, 1.0, LtParameters(m=1.0))
-
-
-class TestOppositeChargeBound:
-    def test_stationary_point(self):
-        p = LtParameters(m=1.0)
-        r_star, _ = opposite_charge_potential_bound(1, 5.0, 1.0, p)
-        assert r_star == pytest.approx(25.0 ** (1.0 / 3.0), rel=1e-14)
-        # first-order condition of N sqrt(R) + V R^(-5/2)
-        lhs = 0.5 * 1 * r_star**-0.5
-        rhs = 2.5 * 5.0 * r_star**-3.5
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_unit_r_star(self):
-        p = LtParameters(m=1.0)
-        r_star, _ = opposite_charge_potential_bound(10, 2.0, 1.0, p)
-        assert r_star == pytest.approx(1.0, rel=1e-14)
-
-    def test_scan_confirms_minimum(self):
-        n_op, vol = 3, 7.0
-        rs = np.geomspace(1e-3, 1e3, 200001)
-        scan = (n_op * np.sqrt(rs) + vol * rs**-2.5).min()
-        r_star, _ = opposite_charge_potential_bound(n_op, vol, 1.0, LtParameters(m=1.0))
-        closed = n_op * math.sqrt(r_star) + vol * r_star**-2.5
-        assert closed == pytest.approx(scan, rel=1e-9)
-
-    def test_exponent_scaling(self):
-        p = LtParameters(m=1.0)
-        _, b1 = opposite_charge_potential_bound(2, 3.0, 1.0, p)
-        _, b2 = opposite_charge_potential_bound(2 * 64, 3.0, 1.0, p)
-        assert b2 == pytest.approx(64.0 ** (5.0 / 6.0) * b1, rel=1e-12)
-        _, b3 = opposite_charge_potential_bound(2, 3.0 * 64, 1.0, p)
-        assert b3 == pytest.approx(64.0 ** (1.0 / 6.0) * b1, rel=1e-12)
 
 
 def coordinate_descent(f, start=(1.0, 1.0), sweeps=80):

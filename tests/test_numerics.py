@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab.errors import ConvexityError, NotPsdError, SlopeRangeError
+from coulomblab.errors import ConvexityError, SlopeRangeError
 from coulomblab.numerics import (
     KineticProfile,
-    PsdMatrix,
     RadialGridFunction,
     gauss_panels,
     legendre_transform,
-    psd_sqrt,
 )
 
 from fourier_oracle import geometric_radial_grid, radial_fourier_transform
@@ -154,38 +152,3 @@ class TestRadialGridFunction:
         assert g(8.0) == 0.0
         assert np.array_equal(g(np.array([4.5, 8.0])), [0.0, 0.0])
         assert g(2.0) == pytest.approx(2.0**-3, rel=1e-5)
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        s = psd_sqrt(PsdMatrix(np.eye(4)))
-        assert np.allclose(s.entries, np.eye(4))
-
-    def test_diagonal(self):
-        s = psd_sqrt(PsdMatrix(np.diag([4.0, 9.0])))
-        assert np.allclose(s.entries, np.diag([2.0, 3.0]))
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8))
-        m = PsdMatrix(a.T @ a)
-        s = psd_sqrt(m)
-        assert np.linalg.norm(s.entries @ s.entries - m.entries) < 1e-10
-
-    def test_commutes_with_argument(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((7, 7))
-        m = PsdMatrix(a.T @ a)
-        s = psd_sqrt(m)
-        comm = s.entries @ m.entries - m.entries @ s.entries
-        bound = 7 * np.finfo(float).eps * np.linalg.norm(m.entries) ** 2
-        assert np.linalg.norm(comm) < max(bound, 1e-10)
-
-    def test_small_negative_clamped(self):
-        m = PsdMatrix(np.diag([1.0, -1e-14]))
-        s = psd_sqrt(m)
-        assert s.entries[1, 1] == 0.0
-
-    def test_genuinely_negative_rejected(self):
-        with pytest.raises(NotPsdError):
-            PsdMatrix(np.diag([1.0, -0.5]))

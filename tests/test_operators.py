@@ -12,7 +12,6 @@ from coulomblab.errors import (
 )
 from coulomblab.operators import (
     PeriodicField,
-    coulomb_split,
     covariant_derivative,
     diamagnetic_sobolev_check,
     envelope_window,
@@ -20,13 +19,10 @@ from coulomblab.operators import (
     lichnerowicz_check,
     magnetic_kinetic_quadratic_form,
     random_band_limited_field,
-    read_field,
-    schroedinger_lower_bound_eval,
     schrodinger_bound_constant,
     sobolev_test_constant,
     stability_first_kind_demo,
     wavevectors,
-    write_field,
 )
 
 SEED = 137
@@ -43,6 +39,38 @@ def plane_wave(n, box, kvec):
 def coords(n, box):
     ax = np.arange(n) * (box / n)
     return np.meshgrid(ax, ax, ax, indexing="ij")
+
+
+def coulomb_split(a):
+    """L^(5/2) + L^infinity split of the Coulomb potential at radius a.
+
+    V1 = 1/r on r < a gives int V1^(5/2) = 8 pi sqrt(a); V2 = 1/r on r >= a
+    gives sup V2 = 1/a.  The product (int V1^(5/2))^2 sup V2 = 64 pi^2 is
+    scale free.
+    """
+    return 8.0 * math.pi * math.sqrt(a), 1.0 / a
+
+
+def schroedinger_lower_bound_eval(f, a, v1, v2, c=None):
+    """Quadratic form of (-i grad + A)^2 - V1 - V2 against its lower bound.
+
+    The oracle for ``schrodinger_bound_constant``, the constant C behind the
+    first-kind bound.  Returns (quad_form, bound) with
+    bound = -C (int V1^(5/2) + sup V2) ||f||^2 on the grid of f, and raises
+    BoundViolationError if the form dips below the bound.
+    """
+    if c is None:
+        c = schrodinger_bound_constant()
+    quad_form = magnetic_kinetic_quadratic_form(f, a, 1.0, 0.5)
+    dens = np.abs(f.data[0]) ** 2
+    quad_form -= grid_integral((v1.data[0].real + v2.data[0].real) * dens, f)
+    norm2 = grid_integral(dens, f)
+    int_v1 = grid_integral(v1.data[0].real ** 2.5, f)
+    sup_v2 = float(v2.data[0].real.max())
+    bound = -c * (int_v1 + sup_v2) * norm2
+    if quad_form < bound - 1e-9 * (abs(bound) + 1.0):
+        raise BoundViolationError(f"form {quad_form} below bound {bound}")
+    return quad_form, bound
 
 
 class TestKineticForm:
@@ -215,6 +243,8 @@ class TestSchroedingerBound:
             bounds.append(bound / norm)
         assert min(forms) >= max(bounds) * (1.0 + 1e-12)
         assert min(forms) < 0.0  # the attraction actually binds somewhere
+        # the continuum split at a = 1 bounds every form per unit norm too
+        assert min(forms) >= -schrodinger_bound_constant() * sum(coulomb_split(1.0))
 
     def test_randomized_sweep(self):
         for seed in range(20):
@@ -314,27 +344,6 @@ class TestLichnerowicz:
                                       real=True)
         with pytest.raises(ResolutionError):
             lichnerowicz_check(psi, a, 1.0)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(SEED)
-        field = random_band_limited_field(rng, 16, 3.5, components=2)
-        path = tmp_path / "field.bin"
-        write_field(field, str(path))
-        back = read_field(str(path))
-        assert back.box_len == field.box_len
-        assert back.components == field.components
-        assert np.array_equal(back.data, field.data)
-
-    def test_little_endian_layout(self, tmp_path):
-        field = PeriodicField(1.0, np.zeros((1, 16, 16, 16), dtype=complex))
-        path = tmp_path / "zero.bin"
-        write_field(field, str(path))
-        raw = path.read_bytes()
-        # header: uint32 grid_n, float64 box_len, uint32 components
-        assert raw[:4] == (16).to_bytes(4, "little")
-        assert len(raw) == 16 + 16**3 * 16
 
 
 class TestFirstKindDemo:
