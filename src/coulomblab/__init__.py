@@ -6,7 +6,7 @@ Subpackages map one-to-one onto the experiment families:
 - ``coulomb``: point-charge energies and the smeared-charge lower bound.
 - ``liebthirring``: kinetic bounds and the grand canonical stability constant.
 - ``grafschenker``: simplex-averaged Coulomb restrictions, averaged exactly.
-- ``thermo``: energy-map axioms and thermodynamic-limit extrapolation.
+- ``thermo``: free fermion energies and thermodynamic-limit extrapolation.
 - ``operators``: spectral-grid magnetic forms and the Pauli square identity.
 - ``instability``: relativistic and attractive-potential collapse scans.
 - ``bogoliubov``: pair-excitation states and the N^(7/5) upper-bound pipeline.

@@ -29,7 +29,6 @@ __all__ = [
     "exact_coulomb_energy",
     "nearest_opposite_distances",
     "newton_smeared_potential",
-    "smeared_self_energy",
     "smeared_pair_interaction",
     "smeared_pair_interactions",
     "onsager_lower_bound",
@@ -151,13 +150,6 @@ def newton_smeared_potential(delta: float, r: float) -> float:
     if r >= delta / 2:
         return 1.0 / r
     return (3.0 - 4.0 * r * r / (delta * delta)) / delta
-
-
-def smeared_self_energy(delta: float) -> float:
-    """Mutual Coulomb energy of the normalized ball with itself: 12/(5 delta)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return UNIT_BALL_SELF_ENERGY / delta
 
 
 def _overlap_interaction(a, b, d, s, d_cap):

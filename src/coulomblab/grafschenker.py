@@ -12,7 +12,7 @@ of l (simplex - simplex) (Rogers & Shephard, J. London Math. Soc. 33 (1958)
 unit directions.  A face-plane rule on the faces of the difference body
 takes such direction averages exactly; ``radial_kernel`` is g, and the
 overlap kernel, the sliding statistic and the positive-type check all read
-it.  ``random_rotations`` draws Haar rotations for Monte Carlo elsewhere.
+it.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "Simplex",
     "regular_tetrahedron",
     "SimplexTester",
-    "random_rotations",
     "overlap_kernel",
     "radial_kernel",
     "gauge_moments",
@@ -65,10 +64,6 @@ class Simplex:
         d = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(np.sqrt((d**2).sum(-1)).max())
 
-    @property
-    def max_vertex_norm(self) -> float:
-        return float(np.sqrt((self.vertices**2).sum(-1)).max())
-
 
 def regular_tetrahedron(edge: float = 1.0) -> Simplex:
     """Regular tetrahedron centered at its centroid.
@@ -82,29 +77,6 @@ def regular_tetrahedron(edge: float = 1.0) -> Simplex:
     return Simplex(verts)
 
 
-def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Batch of unit quaternions (n, 4) to rotation matrices (n, 3, 3)."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((q.shape[0], 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - z * w)
-    m[:, 0, 2] = 2 * (x * z + y * w)
-    m[:, 1, 0] = 2 * (x * y + z * w)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - x * w)
-    m[:, 2, 0] = 2 * (x * z - y * w)
-    m[:, 2, 1] = 2 * (y * z + x * w)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
-
-
-def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-uniform rotations from normalized 4-component Gaussians."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return _quaternions_to_matrices(q)
-
-
 class SimplexTester:
     """Barycentric containment test for g(l simplex) in batch form."""
 
@@ -115,8 +87,6 @@ class SimplexTester:
         self.inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
         # linear parts a_k . v of the barycentric coordinates of vertices 1, 2, 3, 0
         self.forms = np.vstack([self.inv_edges, -self.inv_edges.sum(axis=0)])
-        self.volume = simplex.volume * ell**3
-        self.reach = ell * simplex.max_vertex_norm
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """points (..., 3) in the reference simplex placement."""

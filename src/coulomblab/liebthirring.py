@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coulomb import UNIT_BALL_SELF_ENERGY
+
 __all__ = [
     "LtParameters",
     "SpeciesSpec",
@@ -86,7 +88,8 @@ def box_kinetic_lower_bound(n: int, volume: float, p: LtParameters) -> float:
 
 def _well_constant(p: LtParameters) -> float:
     """C (2m)^(3/2) nu (12/5)^(5/2) 8 pi: the attraction-well factor of q^5."""
-    return p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
+    return (p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * UNIT_BALL_SELF_ENERGY**2.5
+            * 8.0 * math.pi)
 
 
 def _density_coefficients(

@@ -1,5 +1,7 @@
 """Monte Carlo oracle for the exact Graf-Schenker isometry averages, shared by the tests.
 
+``random_rotations`` draws the Haar rotations of every such estimator.
+
 The library's overlap kernel and sliding statistic read the exact kernel
 ``radial_kernel``.  These estimators sample the rotation average instead,
 with the streams of the former library estimator, and keep the translation
@@ -13,11 +15,34 @@ import math
 
 import numpy as np
 
-from coulomblab.grafschenker import SimplexTester, random_rotations
+from coulomblab.grafschenker import SimplexTester
 
 # rotations drawn per batch; the batch size fixes how the random streams are
 # consumed, so changing it changes every estimate
 CHUNK = 2048
+
+
+def _quaternions_to_matrices(q):
+    """Batch of unit quaternions (n, 4) to rotation matrices (n, 3, 3)."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    m = np.empty((q.shape[0], 3, 3))
+    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    m[:, 0, 1] = 2 * (x * y - z * w)
+    m[:, 0, 2] = 2 * (x * z + y * w)
+    m[:, 1, 0] = 2 * (x * y + z * w)
+    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    m[:, 1, 2] = 2 * (y * z - x * w)
+    m[:, 2, 0] = 2 * (x * z - y * w)
+    m[:, 2, 1] = 2 * (y * z + x * w)
+    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return m
+
+
+def random_rotations(rng, n):
+    """Haar-uniform rotations from normalized 4-component Gaussians."""
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return _quaternions_to_matrices(q)
 
 
 def pair_average(separations, weights, tester, samples, rng):

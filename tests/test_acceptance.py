@@ -10,10 +10,7 @@ literature stays under test.
 import math
 import time
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize_scalar
 
 from coulomblab import bogoliubov as bg
@@ -23,6 +20,7 @@ from coulomblab import instability as ins
 from coulomblab import liebthirring as lt
 from coulomblab import operators as op
 from coulomblab import thermo as th
+from ball_oracle import ball_average_oracle
 from isometry_oracle import overlap_estimate
 
 SEED = 137
@@ -115,35 +113,13 @@ def test_criterion_03_onsager_sweep():
     )
 
 
-def _ball_average_oracle(delta, r):
-    a = delta / 2.0
-
-    def outer(s):
-        inner, _ = quad(
-            lambda u: (r * r + s * s - 2.0 * r * s * u) ** -0.5,
-            -1.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400,
-        )
-        return s * s * inner
-
-    pieces = sorted({0.0, a} | ({r} if 0.0 < r < a else set()))
-    total = 0.0
-    # the oracle is pushed to precision limits on purpose; roundoff noise
-    # near the requested tolerance is expected and checked by the caller
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            val, _ = quad(outer, lo, hi, epsabs=1e-13, epsrel=1e-10, limit=400)
-            total += val
-    return 6.0 / (math.pi * delta**3) * 2.0 * math.pi * total
-
-
 def test_criterion_04_newton_potential():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
         delta = rng.uniform(0.2, 3.0)
         r = rng.uniform(1e-2, 2.0 * delta)
-        oracle = _ball_average_oracle(delta, r)
+        oracle = ball_average_oracle(delta, r)
         worst = max(
             worst, abs(cb.newton_smeared_potential(delta, r) - oracle) / oracle
         )

@@ -15,7 +15,6 @@ from coulomblab.grafschenker import (
     _gauge_moments,
     _truncated_kernel,
     gauge_moments,
-    random_rotations,
     gs_positive_type_check,
     overlap_kernel,
     radial_kernel,
@@ -25,22 +24,24 @@ from coulomblab.grafschenker import (
 from coulomblab.numerics import RadialGridFunction
 from coulomblab.thermo import corner_tetrahedron
 from fourier_oracle import radial_fourier_transform
-from isometry_oracle import overlap_estimate, sliding_estimates
+from isometry_oracle import overlap_estimate, random_rotations, sliding_estimates
 
 SEED = 137
 
 
-def covering_cell_average(points, weights, tester, samples, rng):
+def covering_cell_average(points, weights, simplex, ell, samples, rng):
     """Isometry average of 1/2 sum_ij 1[r_i in g] 1[r_j in g] W_ij with translations.
 
     The oracle for the library's rotation-only estimator: translations are
     drawn uniformly over the points' covering cell (the points inflated by
-    the simplex reach, outside which every indicator vanishes) and each
-    point is tested for containment.  Reported per unit |l simplex| with
-    its standard error.
+    the simplex reach, l times its largest vertex norm, outside which every
+    indicator vanishes) and each point is tested for containment.  Reported
+    per unit |l simplex| with its standard error.
     """
-    lo = points.min(axis=0) - tester.reach
-    hi = points.max(axis=0) + tester.reach
+    tester = SimplexTester(simplex, ell)
+    reach = ell * float(np.sqrt((simplex.vertices**2).sum(-1)).max())
+    lo = points.min(axis=0) - reach
+    hi = points.max(axis=0) + reach
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -57,7 +58,7 @@ def covering_cell_average(points, weights, tester, samples, rng):
         done += m
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
-    factor = float(np.prod(hi - lo)) / tester.volume
+    factor = float(np.prod(hi - lo)) / (simplex.volume * ell**3)
     return factor * mean, factor * math.sqrt(var / samples)
 
 
@@ -447,7 +448,7 @@ class TestExactTranslationAverage:
         est, err = overlap_kernel(np.zeros(3), sep, simp, ell, 100000)
         ref, ref_err = covering_cell_average(
             np.stack([np.zeros(3), sep]), np.array([[0.0, 1.0], [1.0, 0.0]]),
-            SimplexTester(simp, ell), 200000, np.random.default_rng(SEED),
+            simp, ell, 200000, np.random.default_rng(SEED),
         )
         assert err == 0.0 and abs(est - ref) <= 4.0 * ref_err
 
@@ -463,7 +464,7 @@ class TestExactTranslationAverage:
         pair_matrix = np.outer(config.charges, config.charges) / dist
         for idx, (ell, row) in enumerate(zip(ells, rep.rows)):
             ref, ref_err = covering_cell_average(
-                config.positions, pair_matrix, SimplexTester(simp, ell), 40000,
+                config.positions, pair_matrix, simp, ell, 40000,
                 np.random.default_rng([SEED, idx]),
             )
             assert row.std_error == 0.0 and abs(row.estimate - ref) <= 4.0 * ref_err

@@ -80,13 +80,12 @@ def _importers_of(package):
             if name == package or name.startswith(package + ".")]
 
 
-def test_scipy_only_in_thermo_and_the_dyson_solve():
-    # scipy serves two calls: thermo's sparse eigensolve (eigsh, splu and
-    # their TYPE_CHECKING block) and the banded Newton step of
+def test_scipy_only_in_the_dyson_solve():
+    # scipy serves one call: the banded Newton step of
     # bogoliubov.dyson_variational_solve
     offenders = [f"{file}: {owner}: {name}"
                  for file, owner, name in _imported_modules()
-                 if name.split(".")[0] == "scipy" and file != "thermo.py"
+                 if name.split(".")[0] == "scipy"
                  and (file, owner) != ("bogoliubov.py", "dyson_variational_solve")]
     assert not offenders, offenders
 
@@ -120,8 +119,8 @@ def test_no_module_imports_scipy_integrate():
 
 
 def test_graf_schenker_draws_no_random_numbers():
-    # the isometry averages are exact; the Monte Carlo that estimated them
-    # is the tests' oracle, and random_rotations takes its generator
+    # the isometry averages are exact; the Monte Carlo that estimated them,
+    # Haar rotations included, is the tests' oracle
     path = PACKAGE / "grafschenker.py"
     calls = [node.lineno
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
@@ -154,14 +153,27 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_solvable_rasters_leave_scipy_out():
-    # the full cube grid and the corner chamber sum their lattice ladder;
-    # only a raster without a known spectrum loads scipy for eigsh
+    # the full cube grid and the corner chamber sum their lattice ladder, a
+    # raster without a known spectrum raises ValueError, and the box map,
+    # the corner spectrum and the extrapolation are numpy too: no thermo
+    # call loads scipy
     probe = """
 import sys
-from coulomblab import thermo
+import numpy as np
+from coulomblab import grafschenker, thermo
 thermo.rasterized_dirichlet_energy(thermo.BoxDomain(7.0), -3.75, 1.0, 0.5)
 corner = thermo.SimplexDomain(thermo.corner_tetrahedron(), 12.0)
 thermo.rasterized_dirichlet_energy(corner, -5.0, 1.0, 0.6)
+try:
+    thermo.rasterized_dirichlet_energy(
+        thermo.SimplexDomain(grafschenker.regular_tetrahedron(), 6.0), -2.0, 1.0, 0.5)
+except ValueError:
+    pass
+else:
+    raise SystemExit("an unsolvable raster returned")
+thermo.thermodynamic_extrapolation(thermo.free_fermion_energy_map(-1.0, 1.0),
+                                   thermo.BoxDomain, np.array([12.0, 16.0, 20.0]))
+thermo.corner_simplex_exact_energy(12.0, -2.0, 1.0)
 print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))
 """
     assert _probe(probe).split() == []

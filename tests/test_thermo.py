@@ -3,20 +3,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from coulomblab import thermo
-from coulomblab.grafschenker import regular_tetrahedron
+from coulomblab.grafschenker import Simplex, regular_tetrahedron
 from coulomblab.thermo import (
-    AxiomCheckResult,
     BoxDomain,
-    DifferenceDomain,
-    Domain,
-    EmptyDomain,
-    EnergyMap,
-    IntersectionDomain,
     SimplexDomain,
-    axiom_check,
     corner_simplex_exact_energy,
     corner_tetrahedron,
     free_fermion_box_energy,
@@ -24,10 +16,7 @@ from coulomblab.thermo import (
     free_fermion_energy_map,
     rasterized_dirichlet_energy,
     thermodynamic_extrapolation,
-    volume_energy_map,
 )
-
-SEED = 137
 
 
 def brute_force_box_energy(side, mu, m, cap=40):
@@ -65,14 +54,38 @@ def lattice_corner_spectrum(ell, h, m):
     return np.sort([sum(t) for t in itertools.combinations(ladder, 3)])
 
 
-# The cyclic axis permutation.  The permuted corner's raster is the chamber
-# {j1 <= j2 <= j3} with its axes permuted, which no lattice shortcut reads,
-# so it takes the eigensolver; its spectrum is still the strict-triple ladder.
-CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+def dense_raster_spectrum(domain, h, m):
+    """Every level of the domain's raster, by a dense eigensolve.
+
+    The 7-point Dirichlet Laplacian is assembled in numpy on the inside
+    sites of the raster: 6 / s^2 on the diagonal and -1 / s^2 between
+    neighbours that are both inside, a neighbour outside being a zero
+    boundary value.  It needs equal steps s on the three axes.
+    """
+    mask, steps = thermo._midpoint_raster(domain, h)
+    assert steps[0] == steps[1] == steps[2]
+    sites = np.argwhere(mask)
+    index = np.full(mask.shape, -1)
+    index[tuple(sites.T)] = np.arange(len(sites))
+    lap = 6.0 * np.eye(len(sites))
+    for axis in range(3):
+        shifted = sites.copy()
+        shifted[:, axis] += 1
+        inside = shifted[:, axis] < mask.shape[axis]
+        here = np.flatnonzero(inside)
+        there = index[tuple(shifted[inside].T)]
+        here, there = here[there >= 0], there[there >= 0]
+        lap[here, there] = lap[there, here] = -1.0
+    return np.linalg.eigvalsh(lap / (2.0 * m * steps[0] ** 2))
 
 
 def permuted_corner(ell):
-    return SimplexDomain(corner_tetrahedron(), ell, rotation=CYCLE)
+    """The corner tetrahedron with its axes cyclically permuted.
+
+    Its raster is the chamber {j1 <= j2 <= j3} with its axes permuted, which
+    the lattice ladder does not read, although its spectrum is the chamber's.
+    """
+    return SimplexDomain(Simplex(corner_tetrahedron().vertices[:, [2, 0, 1]]), ell)
 
 
 class TestDomains:
@@ -83,21 +96,11 @@ class TestDomains:
         assert list(box.contains(pts)) == [True, False]
 
     def test_lattice_volume_close_to_exact(self):
+        # the midpoint raster's inside cells fill the simplex to O(h)
         simp = SimplexDomain(regular_tetrahedron(), ell=4.0)
-        exact = simp.volume()
-        lattice = Domain.volume(simp, h=0.05)
-        assert lattice == pytest.approx(exact, rel=0.02)
-
-    def test_composites(self):
-        outer = BoxDomain(4.0)
-        inner = BoxDomain(2.0)
-        shell = DifferenceDomain(outer, inner)
-        pts = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0]])
-        assert list(shell.contains(pts)) == [False, True, False]
-        cap = IntersectionDomain(outer, BoxDomain(4.0, center=(3.0, 0, 0)))
-        assert cap.contains(np.array([[1.5, 0.0, 0.0]]))[0]
-        assert not cap.contains(np.array([[0.0, 0.0, 0.0]]))[0]
-
+        mask, steps = thermo._midpoint_raster(simp, 0.05)
+        lattice = float(np.prod(steps)) * np.count_nonzero(mask)
+        assert lattice == pytest.approx(simp.volume(), rel=0.02)
 
 class TestFreeFermionBox:
     def test_empty_filling(self):
@@ -177,10 +180,7 @@ class TestCornerSimplex:
 
 
 class TestRasterEigensolve:
-    # side 7, h = 0.5: 14^3 = 2,744 sites, more than 100 modes below 3.75
-    MANY = (7.0, -3.75, 1.0, 0.5)
-    # scale 12, h = 0.6: C(22, 3) = 1,540 sites, more than 100 modes below 5
-    MANY_CORNER = (12.0, -5.0, 1.0, 0.6)
+    """The raster spectra that the lattice ladder solves in closed form."""
 
     def test_all_modes_filled(self):
         # 2 x 2 x 2 sites, all eight modes below -mu
@@ -189,11 +189,12 @@ class TestRasterEigensolve:
         got = rasterized_dirichlet_energy(BoxDomain(1.0), -1000.0, 1.0, 0.5)
         assert got == pytest.approx(float(np.sum(w - 1000.0)), rel=1e-14)
 
-    def test_all_modes_filled_permuted_corner(self):
-        # C(4, 3) = 4 sites, all four modes below -mu: the dense fallback
+    def test_all_modes_filled_corner(self):
+        # C(4, 3) = 4 sites, all four modes below -mu
         w = lattice_corner_spectrum(1.0, 0.5, 1.0)
         assert w.size == 4 and w.max() < 1000.0
-        got = rasterized_dirichlet_energy(permuted_corner(1.0), -1000.0, 1.0, 0.5)
+        got = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), 1.0),
+                                          -1000.0, 1.0, 0.5)
         assert got == pytest.approx(float(np.sum(w - 1000.0)), rel=1e-14)
 
     def test_threshold_on_an_eigenvalue(self):
@@ -204,109 +205,17 @@ class TestRasterEigensolve:
         got = rasterized_dirichlet_energy(BoxDomain(1.0), -10.0, 1.0, 0.5)
         assert got == pytest.approx(-4.0, rel=1e-12)
 
-    def test_threshold_on_an_eigenvalue_of_a_slab(self, monkeypatch):
-        # a 1 x 2 x 2 slab at step 1/2 has the levels 4 + {2, 6} + {2, 6}:
-        # 8, 12, 12 and 16.  At -mu = 12 the factorization of H + mu I is
-        # exactly singular, the inertia count falls back to 0, and the
-        # eigensolve still fills only the mode at 8
-        counts = []
-        count_modes = thermo._modes_below
-
-        def spy_count(ham, threshold):
-            counts.append(count_modes(ham, threshold))
-            return counts[-1]
-
-        monkeypatch.setattr(thermo, "_modes_below", spy_count)
-        slab = IntersectionDomain(BoxDomain(1.0), BoxDomain(1.0, center=(0.5, 0.0, 0.0)))
-        got = rasterized_dirichlet_energy(slab, -12.0, 1.0, 0.5)
-        assert counts == [0]
-        assert got == pytest.approx(-4.0, rel=1e-12)
-
-    def test_box_raster_skips_the_eigensolver(self, monkeypatch):
-        side, mu, m, h = self.MANY
-        calls = []
-        monkeypatch.setattr(thermo, "_modes_below", lambda *a: calls.append("count"))
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *a, **k: calls.append("eigsh"))
-        got = rasterized_dirichlet_energy(BoxDomain(side), mu, m, h)
-        w = lattice_box_spectrum(side, h, m)
-        filled = w[w < -mu]
-        assert filled.size > 100
-        assert calls == []
-        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
-
-    def test_inertia_count_sizes_a_single_eigsh_call(self, monkeypatch):
-        ell, mu, m, h = self.MANY_CORNER
-        counts, ks = [], []
-        count_modes, eigsh = thermo._modes_below, scipy.sparse.linalg.eigsh
-
-        def spy_count(ham, threshold):
-            counts.append(count_modes(ham, threshold))
-            return counts[-1]
-
-        def spy_eigsh(*args, **kwargs):
-            ks.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(thermo, "_modes_below", spy_count)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
-        got = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
-        w = lattice_corner_spectrum(ell, h, m)
-        filled = w[w < -mu]
-        assert filled.size > 100
-        assert counts == [filled.size]
-        assert ks == [filled.size + 4]
-        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
-
-    @pytest.mark.parametrize("shrink", [lambda c: 0, lambda c: c // 2],
-                             ids=["zero", "half"])
-    def test_undercount_recovered_by_retry(self, monkeypatch, shrink):
-        ell, mu, m, h = self.MANY_CORNER
-        honest = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
-        count_modes, eigsh = thermo._modes_below, scipy.sparse.linalg.eigsh
-        ks = []
-
-        def spy_eigsh(*args, **kwargs):
-            ks.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(thermo, "_modes_below",
-                            lambda ham, threshold: shrink(count_modes(ham, threshold)))
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
-        got = rasterized_dirichlet_energy(permuted_corner(ell), mu, m, h)
-        w = lattice_corner_spectrum(ell, h, m)
-        assert len(ks) > 1
-        assert got == pytest.approx(float(np.sum(w[w < -mu] + mu)), rel=1e-12)
-        assert got == pytest.approx(honest, rel=1e-12)
-
     def test_repeated_calls_are_bit_identical(self):
         dom = SimplexDomain(corner_tetrahedron(), ell=10.0)
         first = rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
         assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
 
-    def test_repeated_calls_are_bit_identical_permuted_corner(self):
-        dom = permuted_corner(10.0)
-        first = rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
-        assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
-
-
-class EigensolverReached(Exception):
-    pass
-
 
 class TestRasterRoute:
-    """Which masks sum their lattice ladder and which reach ``eigsh``."""
-
-    @pytest.fixture
-    def no_eigensolver(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise EigensolverReached
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
-        monkeypatch.setattr(thermo, "_modes_below", refuse)
+    """Which masks sum their lattice ladder, and which have no estimator."""
 
     @pytest.mark.parametrize("h", [0.6, 0.45, 0.36])
-    def test_criterion_8_corners_take_the_lattice(self, no_eigensolver, h):
+    def test_criterion_8_corners_take_the_lattice(self, h):
         for ell in (12.5, 15.0, 18.0, 20.0):
             got = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
                                               -2.0, 1.0, h)
@@ -317,8 +226,7 @@ class TestRasterRoute:
         ("box", 6.0, 0.5, -1.0), ("box", 7.0, 0.5, -3.75),
         ("simplex", 10.0, 0.5, -2.0), ("simplex", 12.0, 0.6, -5.0),
     ])
-    def test_raster_workload_cases_take_the_lattice(self, no_eigensolver,
-                                                    shape, length, h, mu):
+    def test_raster_workload_cases_take_the_lattice(self, shape, length, h, mu):
         # the `raster` benchmark workload's four cases, at their base mu
         if shape == "box":
             dom, w = BoxDomain(length), lattice_box_spectrum(length, h, 1.0)
@@ -328,29 +236,32 @@ class TestRasterRoute:
         got = rasterized_dirichlet_energy(dom, mu, 1.0, h)
         assert got == pytest.approx(float(np.sum(w[w < -mu] + mu)), rel=1e-12)
 
-    def test_other_masks_reach_the_eigensolver(self, no_eigensolver):
-        theta = 0.7
-        rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
-                        [math.sin(theta), math.cos(theta), 0.0],
-                        [0.0, 0.0, 1.0]])
-        domains = {
-            "rotated simplex": SimplexDomain(corner_tetrahedron(), 6.0, rotation=rot),
-            "permuted corner": permuted_corner(6.0),
-            "intersection": IntersectionDomain(
-                BoxDomain(6.0), SimplexDomain(regular_tetrahedron(), 6.0)),
-            "difference": DifferenceDomain(BoxDomain(6.0), BoxDomain(2.0)),
-        }
-        for name, dom in domains.items():
-            with pytest.raises(EigensolverReached):
-                rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5)
+    @pytest.mark.parametrize("domain", [
+        SimplexDomain(regular_tetrahedron(), 6.0), permuted_corner(6.0),
+    ], ids=["regular_tetrahedron", "permuted_corner"])
+    def test_other_masks_raise(self, domain):
+        with pytest.raises(ValueError, match="lattice spectrum is not known"):
+            rasterized_dirichlet_energy(domain, -2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("side, h, mu", [(6.0, 0.5, -1.0), (7.0, 0.5, -3.75)])
-    def test_lattice_matches_the_eigensolve_of_the_full_grid(self, monkeypatch,
-                                                            side, h, mu):
-        lattice = rasterized_dirichlet_energy(BoxDomain(side), mu, 1.0, h)
-        monkeypatch.setattr(thermo, "_solvable_ladder", lambda mask, steps: None)
-        eigen = rasterized_dirichlet_energy(BoxDomain(side), mu, 1.0, h)
-        assert lattice == pytest.approx(eigen, rel=1e-12)
+    def test_lattice_matches_the_eigensolve_of_the_full_grid(self, side, h, mu):
+        # 12^3 and 14^3 sites, filled by a dense eigensolve of the grid
+        w = dense_raster_spectrum(BoxDomain(side), h, 1.0)
+        filled = w[w < -mu]
+        assert filled.size > 0
+        got = rasterized_dirichlet_energy(BoxDomain(side), mu, 1.0, h)
+        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
+
+    @pytest.mark.parametrize("ell, h, mu", [(5.0, 0.5, -8.0), (6.0, 0.5, -5.0),
+                                            (7.0, 0.5, -3.0), (5.0, 0.35, -12.0)])
+    def test_lattice_matches_the_dense_eigensolve_of_the_corner_chamber(self, ell, h, mu):
+        # 220 to 680 sites, 11 to 49 filled modes
+        dom = SimplexDomain(corner_tetrahedron(), ell)
+        w = dense_raster_spectrum(dom, h, 1.0)
+        filled = w[w < -mu]
+        assert filled.size > 0
+        got = rasterized_dirichlet_energy(dom, mu, 1.0, h)
+        assert got == pytest.approx(float(np.sum(filled + mu)), rel=1e-12)
 
     @pytest.mark.parametrize("ell, h, mu", [(7.0, 0.5, -3.0), (10.0, 0.5, -2.0),
                                             (12.0, 0.6, -5.0), (12.5, 0.5, -2.0)])
@@ -358,15 +269,15 @@ class TestRasterRoute:
         # 560 to 2,925 sites; the two masks have one spectrum
         lattice = rasterized_dirichlet_energy(SimplexDomain(corner_tetrahedron(), ell),
                                               mu, 1.0, h)
-        eigen = rasterized_dirichlet_energy(permuted_corner(ell), mu, 1.0, h)
+        w = dense_raster_spectrum(permuted_corner(ell), h, 1.0)
+        eigen = float(np.sum(w[w < -mu] + mu))
         assert lattice == pytest.approx(eigen, rel=1e-12)
 
 
 class TestExtrapolation:
     def test_volume_map_exact(self):
-        em = volume_energy_map()
         rep = thermodynamic_extrapolation(
-            em, lambda L: BoxDomain(L), np.array([4.0, 6.0, 8.0])
+            lambda d: -d.volume(), lambda L: BoxDomain(L), np.array([4.0, 6.0, 8.0])
         )
         assert rep.e_infinity == pytest.approx(-1.0, abs=1e-9)
 
@@ -402,93 +313,6 @@ class TestExtrapolation:
         assert coef[0] == pytest.approx(free_fermion_energy_density(mu, m), rel=0.03)
 
     def test_requires_three_scales(self):
-        em = volume_energy_map()
         with pytest.raises(ValueError):
-            thermodynamic_extrapolation(em, lambda L: BoxDomain(L), np.array([2.0, 4.0]))
-
-    def test_rotation_invariance_of_raster_estimator(self):
-        # same estimator on a rotated vs unrotated scaled simplex
-        mu, m = -2.0, 1.0
-        simp = corner_tetrahedron()
-        theta = 0.7
-        rot = np.array(
-            [
-                [math.cos(theta), -math.sin(theta), 0.0],
-                [math.sin(theta), math.cos(theta), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        L = 12.0
-        gaps = []
-        for h in (0.55, 0.4, 0.3):
-            plain = rasterized_dirichlet_energy(SimplexDomain(simp, ell=L), mu, m, h=h)
-            rotated = rasterized_dirichlet_energy(
-                SimplexDomain(simp, ell=L, rotation=rot, translation=(0.3, -0.2, 0.1)),
-                mu,
-                m,
-                h=h,
-            )
-            gaps.append(abs(rotated - plain) / abs(plain))
-        # the orientation sensitivity is pure staircase bias: it shrinks with h
-        assert gaps[2] < gaps[1] < gaps[0]
-        assert gaps[2] < 0.12
-
-
-class TestAxioms:
-    def domains(self):
-        return [
-            BoxDomain(4.0),
-            BoxDomain(6.0, center=(1.0, -2.0, 0.5)),
-            SimplexDomain(regular_tetrahedron(), ell=5.0),
-        ]
-
-    def test_zero_map_passes_all(self):
-        em = EnergyMap("zero", lambda d: 0.0)
-        res = axiom_check(
-            em, self.domains(), kappa=0.0, alpha=lambda x: 0.0,
-            mc_samples=16, seed=SEED,
-        )
-        assert res.all_pass, res.worst_margins
-
-    def test_volume_map_passes(self):
-        em = volume_energy_map(raster_h=0.15)
-        res = axiom_check(
-            em, self.domains(), kappa=1.0, alpha=lambda x: 0.05,
-            mc_samples=32, seed=SEED, ell=5.0,
-        )
-        assert res.all_pass, res.worst_margins
-
-    def test_free_fermion_map_axioms(self):
-        mu, m = -1.0, 1.0
-        em = free_fermion_energy_map(mu, m, raster_h=0.5)
-        kappa = abs(free_fermion_energy_density(mu, m)) * 3.0 + 0.1
-        # alpha(l) = c/l with c calibrated for this model at desk scale
-        res = axiom_check(
-            em,
-            [BoxDomain(7.0), BoxDomain(9.0)],
-            kappa=kappa,
-            alpha=lambda x: 2.0 / x,
-            mc_samples=24,
-            seed=SEED,
-            ell=6.0,
-            a5_subset=1,
-        )
-        assert res.passed["A1"] and res.passed["A2"] and res.passed["A3"]
-        assert res.passed["A4"], res.worst_margins
-        assert res.passed["A5"], res.worst_margins
-
-    def test_a2_detects_violation(self):
-        em = EnergyMap("bad", lambda d: -10.0 * d.volume() if not d.is_empty else 0.0)
-        res = axiom_check(
-            em, [BoxDomain(3.0)], kappa=1.0, alpha=lambda x: 0.0,
-            mc_samples=8, seed=SEED,
-        )
-        assert not res.passed["A2"]
-
-    def test_a1_detects_violation(self):
-        em = EnergyMap("offset", lambda d: 1.0)
-        res = axiom_check(
-            em, [BoxDomain(3.0)], kappa=10.0, alpha=lambda x: 1.0,
-            mc_samples=8, seed=SEED,
-        )
-        assert not res.passed["A1"]
+            thermodynamic_extrapolation(lambda d: -d.volume(), lambda L: BoxDomain(L),
+                                        np.array([2.0, 4.0]))
