@@ -10,9 +10,7 @@ during the run; the error then goes to stderr as one canonical JSON object
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,14 +30,13 @@ _LIBRARY_ERRORS = (
     errors.BoundViolationError,
 )
 
-DEFAULT_TOLERANCES = {
-    "i0_match": 1e-8,
-    "virial": 1e-3,
-    "pipeline_spread": 1e-10,
-    "fock_moments": 1e-7,
-    "scaling_identity": 1e-8,
-    "lichnerowicz": 1e-8,
-}
+# tolerances of the subcommands' checks, each read by one subcommand
+I0_MATCH_TOL = 1e-8
+VIRIAL_TOL = 1e-3
+PIPELINE_SPREAD_TOL = 1e-10
+FOCK_MOMENTS_TOL = 1e-7
+SCALING_IDENTITY_TOL = 1e-8
+LICHNEROWICZ_TOL = 1e-8
 
 # box sides of the thermo-limit fit: a dense set averages out the lattice-point
 # oscillations of the filled mode count, which a handful of sides can alias
@@ -52,102 +49,41 @@ FIRST_KIND_CASES = (
     ((2.0, -2.0), 1.0),
 )
 
-@dataclass
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    out_format: str = "json"
-    out_path: str | None = None
-    samples: int | None = None
-    grid_n: int | None = None
-    tolerances: dict = field(default_factory=dict)
 
-    def tol(self, name: str) -> float:
-        if name not in DEFAULT_TOLERANCES:
-            raise KeyError(f"unknown tolerance {name!r}")
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    allowed = {"seed", "out_format", "out_path", "samples", "grid_n",
-               "tolerances"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "tolerances" in data:
-        bad = set(data["tolerances"]) - set(DEFAULT_TOLERANCES)
-        if bad:
-            raise ValueError(f"unknown tolerance names: {sorted(bad)}")
-    return data
-
-
-def _build_config(args) -> RunConfig:
-    cfg_data = _load_config(args.config)
-    cfg = RunConfig(
-        seed=cfg_data.get("seed", DEFAULT_SEED),
-        out_format=cfg_data.get("out_format", "json"),
-        out_path=cfg_data.get("out_path"),
-        samples=cfg_data.get("samples"),
-        grid_n=cfg_data.get("grid_n"),
-        tolerances=dict(cfg_data.get("tolerances", {})),
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.format is not None:
-        cfg.out_format = args.format
-    if args.out is not None:
-        cfg.out_path = args.out
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.grid_n is not None:
-        cfg.grid_n = args.grid_n
-    for item in args.tol or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"--tol expects name=value, got {item!r}")
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {name!r}")
-        cfg.tolerances[name] = float(value)
-    return cfg
-
-
-def _emit(cfg: RunConfig, artifact: dict | None, rows: list[dict] | None = None,
-          header: dict | None = None):
-    if cfg.out_format == "csv" and rows is not None:
+def _emit(args: argparse.Namespace, artifact: dict | None,
+          rows: list[dict] | None = None, header: dict | None = None):
+    if args.format == "csv" and rows is not None:
         text = rows_to_csv(rows, header=header)
     else:
         payload = dict(artifact or {})
         if rows is not None:
             payload["rows"] = rows
         text = dumps_canonical(payload) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _run_i0(cfg: RunConfig) -> int:
+def _run_i0(args: argparse.Namespace) -> int:
     quadrature, closed = bogoliubov.compute_I0()
     rel = abs(quadrature - closed) / abs(closed)
-    ok = rel < cfg.tol("i0_match")
-    _emit(cfg, {
+    ok = rel < I0_MATCH_TOL
+    _emit(args, {
         "quadrature": quadrature,
         "closed_form": closed,
         "rel_diff": rel,
         "pass": ok,
-        "seed": cfg.seed,
+        "seed": args.seed,
     })
     return 0 if ok else 1
 
 
-def _run_dyson_solve(cfg: RunConfig) -> int:
-    grid_n = cfg.grid_n or 2000
+def _run_dyson_solve(args: argparse.Namespace) -> int:
+    grid_n = args.grid_n or 2000
     state = bogoliubov.dyson_variational_solve(grid_n=grid_n)
-    ok = state.virial_residual < cfg.tol("virial") and state.energy < 0
+    ok = state.virial_residual < VIRIAL_TOL and state.energy < 0
     header = {
         "K": state.kinetic,
         "P": state.potential,
@@ -165,24 +101,24 @@ def _run_dyson_solve(cfg: RunConfig) -> int:
         {"r": float(r), "phi": float(v)}
         for r, v in zip(state.phi.nodes[::10], state.phi.values[::10])
     ]
-    _emit(cfg, header, rows=rows, header=header)
+    _emit(args, header, rows=rows, header=header)
     return 0 if ok else 1
 
 
-def _run_dyson_pipeline(cfg: RunConfig) -> int:
-    grid_n = cfg.grid_n or 2000
+def _run_dyson_pipeline(args: argparse.Namespace) -> int:
+    grid_n = args.grid_n or 2000
     report = bogoliubov.dyson_pipeline(grid_n=grid_n)
-    ok = report.max_relative_spread < cfg.tol("pipeline_spread")
+    ok = report.max_relative_spread < PIPELINE_SPREAD_TOL
     artifact = report.to_dict()
     artifact["pass"] = ok
     rows = artifact.pop("rows")
-    _emit(cfg, artifact, rows=rows, header=artifact)
+    _emit(args, artifact, rows=rows, header=artifact)
     return 0 if ok else 1
 
 
-def _run_fock_oracle(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    count = cfg.samples or 20
+def _run_fock_oracle(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    count = args.samples or 20
     worst = 0.0
     rows = []
     for _ in range(count):
@@ -198,14 +134,14 @@ def _run_fock_oracle(cfg: RunConfig) -> int:
             "norm_deficit": rep.norm_deficit,
         })
         worst = max(worst, rep.max_error)
-    ok = worst < cfg.tol("fock_moments")
-    _emit(cfg, {"max_error": worst, "pass": ok, "seed": cfg.seed, "specs": rows})
+    ok = worst < FOCK_MOMENTS_TOL
+    _emit(args, {"max_error": worst, "pass": ok, "seed": args.seed, "specs": rows})
     return 0 if ok else 1
 
 
-def _run_onsager(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    count = cfg.samples or 2000
+def _run_onsager(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    count = args.samples or 2000
     violations = 0
     for _ in range(count):
         config = coulomb.random_neutral_configuration(rng)
@@ -213,39 +149,35 @@ def _run_onsager(cfg: RunConfig) -> int:
         if not rep.all_checks_pass:
             violations += 1
     ok = violations == 0
-    _emit(cfg, {"configs": count, "violations": violations, "pass": ok,
-                "seed": cfg.seed})
+    _emit(args, {"configs": count, "violations": violations, "pass": ok,
+                 "seed": args.seed})
     return 0 if ok else 1
 
 
-def _run_lt_box(cfg: RunConfig) -> int:
-    p = liebthirring.LtParameters(m=1.0)
+def _run_lt_box(args: argparse.Namespace) -> int:
+    c_lt = liebthirring.classical_lt_constant()
     rows = []
     ok = True
     for n in (1, 4, 16, 64, 256, 1024, 4096, 10000):
         for side in (1.0, 2.5):
             sum_d = liebthirring.dirichlet_cube_kinetic_sum(n, side, 1.0)
-            bound = liebthirring.box_kinetic_lower_bound(n, side**3, p)
+            bound = liebthirring.box_kinetic_lower_bound(n, side**3, 1.0)
             rows.append({"N": n, "side": side, "dirichlet_sum": sum_d,
                          "bound": bound, "holds": bool(sum_d >= bound)})
             ok = ok and sum_d >= bound
-    _emit(cfg, {"pass": ok, "C_lt": p.C_lt}, rows=rows,
-          header={"C_lt": p.C_lt, "pass": ok})
+    _emit(args, {"pass": ok, "C_lt": c_lt}, rows=rows,
+          header={"C_lt": c_lt, "pass": ok})
     return 0 if ok else 1
 
 
-def _run_stability(cfg: RunConfig) -> int:
+def _run_stability(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for mu in (-1.0, 0.0, 2.0):
         for m_plus, m_minus in ((1.0, 1.0), (1.0, 5.0)):
             for q in (0.5, 1.0):
                 spec = liebthirring.SpeciesSpec(m_plus, m_minus, q, q, mu)
-                value = liebthirring.stability_constant(
-                    spec,
-                    liebthirring.LtParameters(m=m_plus),
-                    liebthirring.LtParameters(m=m_minus),
-                )
+                value = liebthirring.stability_constant(spec)
                 finite = np.isfinite(value) and value <= 1e-12
                 ok = ok and finite
                 rows.append({"mu": mu, "m_plus": m_plus, "m_minus": m_minus,
@@ -256,25 +188,25 @@ def _run_stability(cfg: RunConfig) -> int:
         ok = ok and demo["holds"]
         first_kind.append({"charges": list(charges), "mass": mass, **demo})
     header = {"first_kind": first_kind, "pass": ok}
-    _emit(cfg, header, rows=rows, header=header)
+    _emit(args, header, rows=rows, header=header)
     return 0 if ok else 1
 
 
-def _run_graf_schenker(cfg: RunConfig) -> int:
-    samples = cfg.samples or 20000
+def _run_graf_schenker(args: argparse.Namespace) -> int:
+    samples = args.samples or 20000
     simplex = grafschenker.regular_tetrahedron()
     ell = 4.0
     est0, err0 = grafschenker.overlap_kernel(
-        np.zeros(3), np.zeros(3), simplex, ell, samples, seed=cfg.seed
+        np.zeros(3), np.zeros(3), simplex, ell, samples, seed=args.seed
     )
     norm_ok = est0 == 1.0
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     config = coulomb.random_neutral_configuration(rng, n_min=6, n_max=10, box=2.0)
     diam = config.diameter
     report = grafschenker.sliding_inequality_experiment(
         config, simplex, np.array([2.0, 4.0, 8.0, 16.0, 32.0]) * diam,
-        samples, seed=cfg.seed,
+        samples, seed=args.seed,
     )
     d_vals = report.d_values
     # a sliding bound means D plateaus: its increments must not grow
@@ -282,7 +214,7 @@ def _run_graf_schenker(cfg: RunConfig) -> int:
     ok = norm_ok and trend_ok
     # the face-plane rule at l = 1: <1>, then <phi>, <phi^2>, <phi^3>
     moments = grafschenker.gauge_moments(simplex)
-    _emit(cfg, {
+    _emit(args, {
         "kernel_at_zero": est0,
         "kernel_at_zero_err": err0,
         "normalization_ok": norm_ok,
@@ -290,16 +222,16 @@ def _run_graf_schenker(cfg: RunConfig) -> int:
         "rule_mass_error": abs(float(moments[0]) - 1.0),
         "D_values": [float(x) for x in d_vals],
         "pass": ok,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }, rows=[r.to_dict() for r in report.rows])
     return 0 if ok else 1
 
 
-def _run_thermo(cfg: RunConfig) -> int:
+def _run_thermo(args: argparse.Namespace) -> int:
     mu, m = -1.0, 1.0
     em = thermo.free_fermion_energy_map(mu, m)
     rep = thermo.thermodynamic_extrapolation(
-        em, lambda L: thermo.BoxDomain(L), THERMO_LIMIT_SCALES
+        em, thermo.BoxDomain, THERMO_LIMIT_SCALES
     )
     closed = thermo.free_fermion_energy_density(mu, m)
     rel = abs(rep.e_infinity - closed) / abs(closed)
@@ -307,11 +239,11 @@ def _run_thermo(cfg: RunConfig) -> int:
     header = {"mu": mu, "m": m, "e_infinity": rep.e_infinity, "closed_form": closed,
               "rel_error": rel, "residual_rms": rep.residual_rms,
               "fit_warning": rep.fit_warning, "pass": ok}
-    _emit(cfg, header, rows=rep.rows(), header=header)
+    _emit(args, header, rows=rep.rows(), header=header)
     return 0 if ok else 1
 
 
-def _run_rel_collapse(cfg: RunConfig) -> int:
+def _run_rel_collapse(args: argparse.Namespace) -> int:
     state = instability.TwoBodyTrialState("separable", width=1.3)
     lhs = instability.relativistic_two_body_energy(state, 1.0, 1.0, ell=0.35)
     rhs = instability.relativistic_two_body_energy(state, 1.0, 0.35, ell=1.0)
@@ -322,40 +254,40 @@ def _run_rel_collapse(cfg: RunConfig) -> int:
                                       relative_width=1.0),
     ]
     q_upper = instability.critical_charge_upper_bound(family)
-    ok = resid < cfg.tol("scaling_identity")
-    _emit(cfg, {"scaling_residual": resid, "Q_upper": q_upper, "pass": ok})
+    ok = resid < SCALING_IDENTITY_TOL
+    _emit(args, {"scaling_residual": resid, "Q_upper": q_upper, "pass": ok})
     return 0 if ok else 1
 
 
-def _run_fermi_collapse(cfg: RunConfig) -> int:
+def _run_fermi_collapse(args: argparse.Namespace) -> int:
     ns = np.unique(np.round(np.geomspace(8, 32768, 16)).astype(int))
     rep = instability.attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
     ok = 1.62 <= rep.fitted_exponent <= 1.72 and rep.onset_n is not None
     artifact = rep.to_dict()
     artifact["pass"] = ok
-    _emit(cfg, artifact, rows=rep.rows,
+    _emit(args, artifact, rows=rep.rows,
           header={"fitted_exponent": rep.fitted_exponent, "pass": ok})
     return 0 if ok else 1
 
 
-def _run_lichnerowicz(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.grid_n or 32
+def _run_lichnerowicz(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    n = args.grid_n or 32
     a = operators.random_band_limited_field(rng, n, 2 * np.pi, components=3,
                                             k_shells=2, real=True)
     psi = operators.random_band_limited_field(rng, n, 2 * np.pi, components=2,
                                               k_shells=2)
     res = operators.lichnerowicz_check(psi, a, 0.7)
-    ok = res.relative < cfg.tol("lichnerowicz")
-    _emit(cfg, {"max_residual": res.max_residual, "scale": res.scale,
-                "relative": res.relative, "pass": ok, "seed": cfg.seed})
+    ok = res.relative < LICHNEROWICZ_TOL
+    _emit(args, {"max_residual": res.max_residual, "scale": res.scale,
+                 "relative": res.relative, "pass": ok, "seed": args.seed})
     return 0 if ok else 1
 
 
-def _run_sobolev(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.grid_n or 32
-    trials = cfg.samples or 25
+def _run_sobolev(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    n = args.grid_n or 32
+    trials = args.samples or 25
     worst_gap = np.inf
     for _ in range(trials):
         f = operators.random_band_limited_field(rng, n, 2 * np.pi, components=1,
@@ -365,12 +297,12 @@ def _run_sobolev(cfg: RunConfig) -> int:
         lhs, mid, sob = operators.diamagnetic_sobolev_check(f, a, 0.9)
         worst_gap = min(worst_gap, lhs - mid)
     ok = bool(worst_gap >= -1e-12)
-    _emit(cfg, {"trials": trials, "worst_gap": float(worst_gap), "pass": ok,
-                "constant": operators.sobolev_test_constant(), "seed": cfg.seed})
+    _emit(args, {"trials": trials, "worst_gap": float(worst_gap), "pass": ok,
+                 "constant": operators.sobolev_test_constant(), "seed": args.seed})
     return 0 if ok else 1
 
 
-def _run_legendre(cfg: RunConfig) -> int:
+def _run_legendre(args: argparse.Namespace) -> int:
     p = np.linspace(-3.0, 3.0, 2001)
     nonrel = KineticProfile("nonrelativistic", 1.0)
     rel = KineticProfile("relativistic", 1.0)
@@ -379,8 +311,8 @@ def _run_legendre(cfg: RunConfig) -> int:
     err1 = abs(val1 - 0.18)
     err2 = abs(val2 - 0.2)
     ok = err1 < 1e-10 and err2 < 1e-6
-    _emit(cfg, {"quadratic_at_0.6": val1, "relativistic_at_0.6": val2,
-                "errors": [err1, err2], "pass": ok})
+    _emit(args, {"quadratic_at_0.6": val1, "relativistic_at_0.6": val2,
+                 "errors": [err1, err2], "pass": ok})
     return 0 if ok else 1
 
 
@@ -409,15 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on Coulomb gas bounds.",
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file with run configuration")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    parser.add_argument("--tol", action="append", default=None,
-                        metavar="NAME=VALUE")
     return parser
 
 
@@ -428,12 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        cfg = _build_config(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        return _RUNNERS[args.subcommand](cfg)
+        return _RUNNERS[args.subcommand](args)
     except _LIBRARY_ERRORS as exc:
         sys.stderr.write(dumps_canonical({
             "error": type(exc).__name__,

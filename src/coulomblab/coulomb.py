@@ -279,7 +279,6 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
             "exact_ge_final": bool(exact >= final_bound - slack),
             "exact_ge_stronger_bound": bool(exact >= stronger_bound - slack),
         },
-        provenance={"n_particles": n},
     )
 
 

@@ -317,13 +317,6 @@ class SlidingReport:
     def d_values(self) -> np.ndarray:
         return np.array([row.D for row in self.rows])
 
-    def to_dict(self) -> dict:
-        return {
-            "exact": self.exact,
-            "sum_q2": self.sum_q2,
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
 
 def sliding_inequality_experiment(
     c: ChargeConfiguration,

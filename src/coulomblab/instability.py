@@ -122,19 +122,7 @@ def relativistic_two_body_energy(
             "kinetic_2": kinetic,
             "attraction": attraction,
         },
-        provenance={"kind": t.kind, "ell": ell, "mass": mass, "Q": q},
     )
-
-
-def _massless_minimum(family, scan, q: float) -> float:
-    best = math.inf
-    for state in family:
-        for w in scan:
-            s = state.scaled(w)
-            e = 2.0 * relativistic_kinetic_expectation(0.0, s.momentum_std())
-            e -= q * s.inverse_distance_expectation()
-            best = min(best, e)
-    return best
 
 
 def critical_charge_upper_bound(family: list[TwoBodyTrialState]) -> float:
@@ -176,7 +164,6 @@ def attractive_collapse_experiment(
     radius: float,
     c: float,
     ndim: int = 3,
-    w_profile=None,
 ) -> CollapseReport:
     """Slater-determinant upper bound for pair potentials below -c on a ball.
 
@@ -191,11 +178,6 @@ def attractive_collapse_experiment(
         raise ValueError("supported dimensions are 1, 2 and 3")
     if radius <= 0 or c <= 0:
         raise ValueError("radius and c must be positive")
-    if w_profile is not None:
-        probe = np.linspace(0.0, radius * 0.999, 64)
-        vals = np.array([w_profile(r) for r in probe])
-        if np.any(vals > -c + 1e-12):
-            raise ValueError("W must be <= -c on the ball of the given radius")
 
     side = 2.0 * radius / math.sqrt(ndim)
     n_arr = np.asarray(n_list, dtype=int)

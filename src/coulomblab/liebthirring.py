@@ -2,24 +2,24 @@
 
 The kinetic-vs-potential inequality used here is
 
-    sum_j ( (1/2m)(-i grad_j + A)^2 - V(r_j) ) >= -C m^(3/2) nu int V^(5/2)
+    sum_j ( (1/2m)(-i grad_j + A)^2 - V(r_j) ) >= -C m^(3/2) int V^(5/2)
 
-on the fermionic subspace.  The constant C is a configuration input; its
-default is the phase-space (semiclassical) coefficient divided by (2 pi)^3,
+on the fermionic subspace of spinless fermions.  The constant C is the
+phase-space (semiclassical) coefficient divided by (2 pi)^3 (Lieb & Thirring
+1975; Lieb & Seiringer, The Stability of Matter in Quantum Mechanics, 2010),
 which makes the derived box bound coincide with the Berezin-Li-Yau value, so
 Dirichlet eigenvalue sums dominate it at every particle number.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coulomb import UNIT_BALL_SELF_ENERGY
 
 __all__ = [
-    "LtParameters",
     "SpeciesSpec",
     "classical_lt_constant",
     "box_kinetic_lower_bound",
@@ -44,19 +44,6 @@ def classical_lt_constant() -> float:
 
 
 @dataclass
-class LtParameters:
-    """Constant, mass and internal degeneracy entering the kinetic bound."""
-
-    m: float
-    nu: int = 1
-    C_lt: float = field(default_factory=classical_lt_constant)
-
-    def __post_init__(self):
-        if not (self.m > 0 and self.nu >= 1 and self.C_lt > 0):
-            raise ValueError("LtParameters entries must be positive")
-
-
-@dataclass
 class SpeciesSpec:
     """Two fermion species with opposite charges and a chemical potential."""
 
@@ -71,62 +58,44 @@ class SpeciesSpec:
             raise ValueError("masses and charge magnitudes must be positive")
 
 
-def box_kinetic_lower_bound(n: int, volume: float, p: LtParameters) -> float:
-    """Kinetic lower bound for n fermions in a region of given volume.
+def box_kinetic_lower_bound(n: int, volume: float, m: float) -> float:
+    """Kinetic lower bound for n fermions of mass m in a region of given volume.
 
-    max over v >= 0 of (n v - C m^(3/2) nu v^(5/2) volume); the stationary
-    point is v* = (2 n / (5 C m^(3/2) nu volume))^(2/3) and the maximum is
-    (3/5) n v*, of the form const * m^-1 nu^(-2/3) n^(5/3) volume^(-2/3).
+    max over v >= 0 of (n v - C m^(3/2) v^(5/2) volume); the stationary
+    point is v* = (2 n / (5 C m^(3/2) volume))^(2/3) and the maximum is
+    (3/5) n v*, of the form const * m^-1 n^(5/3) volume^(-2/3).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if volume <= 0:
-        raise ValueError("volume must be positive")
-    v_star = (2.0 * n / (5.0 * p.C_lt * p.m**1.5 * p.nu * volume)) ** (2.0 / 3.0)
+    if volume <= 0 or m <= 0:
+        raise ValueError("volume and mass must be positive")
+    c_lt = classical_lt_constant()
+    v_star = (2.0 * n / (5.0 * c_lt * m**1.5 * volume)) ** (2.0 / 3.0)
     return 0.6 * n * v_star
 
 
-def _well_constant(p: LtParameters) -> float:
-    """C (2m)^(3/2) nu (12/5)^(5/2) 8 pi: the attraction-well factor of q^5."""
-    return (p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * UNIT_BALL_SELF_ENERGY**2.5
-            * 8.0 * math.pi)
+def _density_coefficients(s: SpeciesSpec) -> tuple[float, float, float, float]:
+    """(c1+, c1-, c2+, c2-) of the per-volume bound.
 
+    The bound on E(mu, Omega)/|Omega| at species densities n+/- is
 
-def _density_coefficients(
-    s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters
-) -> tuple[float, float, float, float]:
-    """(c1+, c1-, c2+, c2-) of the per-volume bound; see _density_objective."""
-    if not math.isclose(p_plus.m, s.m_plus) or not math.isclose(p_minus.m, s.m_minus):
-        raise ValueError("LtParameters masses must match the species spec")
-
-    def c1(p: LtParameters) -> float:
-        return 0.6 * 0.4 ** (2.0 / 3.0) * (p.C_lt * p.nu) ** (-2.0 / 3.0) / (2.0 * p.m)
-
-    def c2(p: LtParameters, q: float) -> float:
-        return _well_constant(p) * q**5 * (6.0 * 5.0 ** (-5.0 / 6.0))
-
-    return c1(p_plus), c1(p_minus), c2(p_plus, s.Q_plus), c2(p_minus, s.Q_minus)
-
-
-def _density_objective(s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters):
-    """Per-volume energy bound as a function of species densities.
+        c1+ n+^(5/3) + c1- n-^(5/3) - c2+ n-^(5/6) - c2- n+^(5/6) + mu (n+ + n-):
 
     c1 n^(5/3) comes from the half-kinetic box bound at effective mass 2m,
-    c2 n_op^(5/6) from the optimized attraction term, mu (n+ + n-) from the
-    chemical potential.  The objective is separable in (n+, n-).
+    c2 n_op^(5/6) from the optimized attraction term, whose q^5 factor is
+    C (2m)^(3/2) (12/5)^(5/2) 8 pi, and mu (n+ + n-) from the chemical
+    potential.  The bound is separable in (n+, n-).
     """
-    c1p, c1m, c2p, c2m = _density_coefficients(s, p_plus, p_minus)
+    c_lt = classical_lt_constant()
 
-    def objective(n_plus: float, n_minus: float) -> float:
-        return (
-            c1p * n_plus ** (5.0 / 3.0)
-            + c1m * n_minus ** (5.0 / 3.0)
-            - c2p * n_minus ** (5.0 / 6.0)
-            - c2m * n_plus ** (5.0 / 6.0)
-            + s.mu * (n_plus + n_minus)
-        )
+    def c1(m: float) -> float:
+        return 0.6 * 0.4 ** (2.0 / 3.0) * c_lt ** (-2.0 / 3.0) / (2.0 * m)
 
-    return objective
+    def c2(m: float, q: float) -> float:
+        well = c_lt * (2.0 * m) ** 1.5 * UNIT_BALL_SELF_ENERGY**2.5 * 8.0 * math.pi
+        return well * q**5 * (6.0 * 5.0 ** (-5.0 / 6.0))
+
+    return c1(s.m_plus), c1(s.m_minus), c2(s.m_plus, s.Q_plus), c2(s.m_minus, s.Q_minus)
 
 
 def _species_minimum(c1: float, c2: float, mu: float) -> float:
@@ -153,18 +122,16 @@ def _species_minimum(c1: float, c2: float, mu: float) -> float:
     return c1 * n ** (5.0 / 3.0) - c2 * n ** (5.0 / 6.0) + mu * n
 
 
-def stability_constant(
-    s: SpeciesSpec, p_plus: LtParameters, p_minus: LtParameters
-) -> float:
+def stability_constant(s: SpeciesSpec) -> float:
     """Minimum over densities n+/- >= 0 of the per-volume bound.
 
-    The objective of _density_objective is separable, so each species is
+    The bound of _density_coefficients is separable, so each species is
     minimized exactly by the root of a quintic in n^(1/6).  The 5/3 growth
     beats the 5/6 attraction so the minimum is finite.  The returned value is
     the (typically negative) constant bounding E(mu, Omega)/|Omega| from
     below.
     """
-    c1p, c1m, c2p, c2m = _density_coefficients(s, p_plus, p_minus)
+    c1p, c1m, c2p, c2m = _density_coefficients(s)
     # n+ feels the attraction of the opposite species through c2-, and n-
     # through c2+
     return _species_minimum(c1p, c2m, s.mu) + _species_minimum(c1m, c2p, s.mu)

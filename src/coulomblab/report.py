@@ -1,10 +1,9 @@
 """Uniform result container and diff-stable serialization.
 
-Every experiment returns an :class:`EnergyReport`: a named additive energy
-breakdown plus provenance (seed, grid, tolerances) and the boolean checks the
-experiment performed.  Serialization is canonical: dictionary keys sorted,
-floats printed with 17 significant digits, so identical runs produce byte
-identical artifacts.
+The energy experiments return an :class:`EnergyReport`: a named additive
+energy breakdown plus the boolean checks the experiment performed.
+Serialization is canonical: dictionary keys sorted, floats printed with 17
+significant digits, so identical runs produce byte identical artifacts.
 """
 from __future__ import annotations
 
@@ -80,7 +79,7 @@ def rows_to_csv(rows: list[dict], header: dict | None = None) -> str:
 
 @dataclass
 class EnergyReport:
-    """Named additive energy breakdown with provenance.
+    """Named additive energy breakdown.
 
     ``terms`` are the additive pieces (their sum is ``total``); quantities
     that are not additive contributions (bounds, residuals, exact references)
@@ -92,7 +91,6 @@ class EnergyReport:
     terms: dict[str, float] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
-    provenance: dict[str, Any] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -101,16 +99,3 @@ class EnergyReport:
     @property
     def all_checks_pass(self) -> bool:
         return all(self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "terms": {k: float(v) for k, v in self.terms.items()},
-            "total": self.total,
-            "extras": {k: float(v) for k, v in self.extras.items()},
-            "checks": dict(self.checks),
-            "provenance": self.provenance,
-        }
-
-    def to_json(self) -> str:
-        return dumps_canonical(self.to_dict())

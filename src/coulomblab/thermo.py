@@ -12,7 +12,7 @@ axis-aligned cube and of the corner tetrahedron).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,20 +55,17 @@ class Domain:
 @dataclass
 class BoxDomain(Domain):
     side: float
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         if self.side <= 0:
             raise ValueError("side must be positive")
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
 
     def contains(self, points):
-        d = np.abs(points - self.center)
-        return np.all(d <= self.side / 2.0, axis=-1)
+        return np.all(np.abs(points) <= self.side / 2.0, axis=-1)
 
     def bounding_box(self):
-        half = self.side / 2.0
-        return self.center - half, self.center + half
+        half = np.full(3, self.side / 2.0)
+        return -half, half
 
     def volume(self) -> float:
         return self.side**3

@@ -22,6 +22,7 @@ from coulomblab import operators as op
 from coulomblab import thermo as th
 from ball_oracle import ball_average_oracle
 from isometry_oracle import overlap_estimate
+from variational_oracle import density_objective, massless_minimum
 
 SEED = 137
 
@@ -309,12 +310,11 @@ def test_criterion_09_graf_schenker():
 
 
 def test_criterion_10_lieb_thirring_chain():
-    p = lt.LtParameters(m=1.0)
     chain_ok = True
     for n in (1, 4, 16, 64, 256, 1024, 4096, 10000):
         for side in (0.6, 1.0, 2.5):
             sum_d = lt.dirichlet_cube_kinetic_sum(n, side, 1.0)
-            bound = lt.box_kinetic_lower_bound(n, side**3, p)
+            bound = lt.box_kinetic_lower_bound(n, side**3, 1.0)
             chain_ok = chain_ok and sum_d >= bound * (1.0 - 1e-12)
 
     ns = np.unique(np.round(np.geomspace(1000, 10000, 10)).astype(int))
@@ -328,12 +328,10 @@ def test_criterion_10_lieb_thirring_chain():
         for masses in ((1.0, 1.0), (1.0, 4.0)):
             for q in (0.6, 1.0):
                 spec = lt.SpeciesSpec(masses[0], masses[1], q, q, mu)
-                pp = lt.LtParameters(m=masses[0])
-                pm = lt.LtParameters(m=masses[1])
-                value = lt.stability_constant(spec, pp, pm)
+                value = lt.stability_constant(spec)
                 stability_ok = stability_ok and np.isfinite(value) and value <= 0.0
 
-                f = lt._density_objective(spec, pp, pm)
+                f = density_objective(spec)
                 x = y = 1.0
                 for _ in range(60):
                     rx = minimize_scalar(
@@ -442,11 +440,9 @@ def test_criterion_12_relativistic_collapse():
     ]
     q_narrow = ins.critical_charge_upper_bound(narrow)
     q_wide = ins.critical_charge_upper_bound(wide)
-    from coulomblab.instability import _massless_minimum
-
     bracket_ok = (
-        _massless_minimum(wide, scan, q_wide - 1e-5) >= 0.0
-        and _massless_minimum(wide, scan, q_wide + 1e-5) < 0.0
+        massless_minimum(wide, scan, q_wide - 1e-5) >= 0.0
+        and massless_minimum(wide, scan, q_wide + 1e-5) < 0.0
     )
     monotone_ok = q_wide <= q_narrow + 1e-9
     ok = scaling_ok and bracket_ok and monotone_ok

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coulomblab import bogoliubov, operators, thermo
-from coulomblab.cli import DEFAULT_SEED, THERMO_LIMIT_SCALES, main
+from coulomblab.cli import DEFAULT_SEED, THERMO_LIMIT_SCALES, build_parser, main
 from coulomblab.errors import ConvergenceError
 from coulomblab.report import EnergyReport, dumps_canonical, format_float, rows_to_csv
 
@@ -37,15 +37,22 @@ class TestReportSerialization:
         assert lines[2] == "1,0.5"
 
     def test_energy_report_total(self):
-        rep = EnergyReport("demo", terms={"a": 1.5, "b": -0.5})
+        rep = EnergyReport("demo", terms={"a": 1.5, "b": -0.5},
+                           checks={"holds": True, "fails": False})
         assert rep.total == 1.0
-        parsed = json.loads(rep.to_json())
-        assert parsed["total"] == 1.0
+        assert not rep.all_checks_pass
 
 
 class TestCliContract:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert main(["does-not-exist"]) == 2
+
+    def test_option_set(self):
+        # each run setting has one source, its flag; tolerances are constants
+        options = {opt for action in build_parser()._actions
+                   for opt in action.option_strings}
+        assert options - {"-h", "--help"} == {
+            "--seed", "--out", "--format", "--samples", "--grid-n"}
 
     def test_unknown_tolerance_rejected(self, capsys):
         assert main(["legendre", "--tol", "not_a_tol=1"]) == 2
@@ -78,8 +85,6 @@ class TestCliContract:
         assert main(["i0", "--out", str(out)]) == 1
         data = json.loads(out.read_text())
         assert data["rel_diff"] == pytest.approx(0.5, abs=1e-9)
-        # loosening the tolerance past the discrepancy flips the exit code
-        assert main(["i0", "--out", str(out), "--tol", "i0_match=0.6"]) == 0
 
     def test_byte_identical_artifacts(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -286,11 +291,10 @@ class TestCliContract:
         assert lines[1] == "N,kinetic,estimate"
         assert json.loads(lines[0][2:])["pass"] is True
 
-    def test_config_file_round_trip(self, tmp_path):
+    def test_config_and_tol_are_usage_errors(self, tmp_path, capsys):
+        # a once valid config file and tolerance override are now unknown options
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "samples": 3}))
-        out = tmp_path / "out.json"
-        assert main(["fock-oracle", "--config", str(cfg), "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["seed"] == 5
-        assert len(data["specs"]) == 3
+        assert main(["fock-oracle", "--config", str(cfg)]) == 2
+        assert main(["i0", "--tol", "i0_match=0.6"]) == 2
+        assert capsys.readouterr().out == ""

@@ -357,7 +357,7 @@ class TestOnsagerBound:
         for _ in range(300):
             c = random_neutral_configuration(rng, n_min=2, n_max=14)
             rep = onsager_lower_bound(c)
-            assert rep.all_checks_pass, rep.to_dict()
+            assert rep.all_checks_pass, rep.checks
 
     def test_chain_matches_pairwise_oracle(self):
         rng = np.random.default_rng(37)

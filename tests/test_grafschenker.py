@@ -392,7 +392,6 @@ class TestSlidingInequality:
             neutral_pair(0.5), simp, np.array([3.0]), 2000, seed=SEED
         )
         assert set(rep.rows[0].to_dict()) == {"ell", "estimate", "std_error", "D"}
-        assert set(rep.to_dict()) == {"exact", "sum_q2", "rows"}
 
     def test_seed_and_samples_are_unread(self):
         simp = regular_tetrahedron()
@@ -402,7 +401,7 @@ class TestSlidingInequality:
         ells = np.array([2.0, 8.0, 0.2]) * config.diameter
         one = sliding_inequality_experiment(config, simp, ells, 2000, seed=1)
         two = sliding_inequality_experiment(config, simp, ells, 90000, seed=[SEED, 3])
-        assert one.to_dict() == two.to_dict()
+        assert (one.exact, one.sum_q2, one.rows) == (two.exact, two.sum_q2, two.rows)
 
     def test_d_bounded_over_random_suite(self):
         simp = regular_tetrahedron()

@@ -11,6 +11,7 @@ from coulomblab.instability import (
     relativistic_kinetic_expectation,
     relativistic_two_body_energy,
 )
+from variational_oracle import massless_minimum
 
 
 class TestTrialStates:
@@ -95,10 +96,8 @@ class TestCriticalCharge:
     def test_bisection_bracket(self):
         scan = np.array([0.5, 1.0, 2.0])
         q_up = critical_charge_upper_bound(self.family())
-        from coulomblab.instability import _massless_minimum
-
-        assert _massless_minimum(self.family(), scan, q_up - 1e-5) >= 0.0
-        assert _massless_minimum(self.family(), scan, q_up + 1e-5) < 0.0
+        assert massless_minimum(self.family(), scan, q_up - 1e-5) >= 0.0
+        assert massless_minimum(self.family(), scan, q_up + 1e-5) < 0.0
 
     def test_wider_family_never_raises_threshold(self):
         q_small = critical_charge_upper_bound(self.family()[:1])
@@ -117,12 +116,10 @@ class TestCriticalCharge:
         # oracle: at the closed-form threshold the massless energy, with its
         # kinetic term by momentum quadrature, vanishes for the optimal shape
         q_up = critical_charge_upper_bound(self.family())
-        from coulomblab.instability import _massless_minimum
-
         for w in (0.5, 1.0, 2.0):
             state = self.family()[1].scaled(w)
             kinetic = 2.0 * relativistic_kinetic_expectation(0.0, state.momentum_std())
-            assert _massless_minimum([state], [1.0], q_up) == pytest.approx(
+            assert massless_minimum([state], [1.0], q_up) == pytest.approx(
                 0.0, abs=1e-12 * kinetic
             )
 
@@ -169,16 +166,6 @@ class TestAttractiveCollapse:
         assert rep2.rows[0]["kinetic"] == pytest.approx(
             rep1.rows[0]["kinetic"] / 4.0, rel=1e-12
         )
-
-    def test_profile_validation(self):
-        ns = np.array([8, 16])
-        attractive_collapse_experiment(
-            ns, radius=1.0, c=0.5, ndim=3, w_profile=lambda r: -1.0
-        )
-        with pytest.raises(ValueError):
-            attractive_collapse_experiment(
-                ns, radius=1.0, c=0.5, ndim=3, w_profile=lambda r: -0.4
-            )
 
     def test_fitted_exponent_is_least_squares_slope(self):
         ns = np.unique(np.round(np.geomspace(8, 4096, 12)).astype(int))

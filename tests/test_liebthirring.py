@@ -8,9 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from coulomblab.liebthirring import (
-    LtParameters,
     SpeciesSpec,
-    _density_objective,
     box_kinetic_lower_bound,
     classical_lt_constant,
     cube_mode_energies_below,
@@ -19,6 +17,7 @@ from coulomblab.liebthirring import (
     lowest_cube_mode_energies,
     stability_constant,
 )
+from variational_oracle import density_coefficients, density_objective
 
 
 _PGAUSS_NODES, _PGAUSS_WEIGHTS = leggauss(8)
@@ -101,37 +100,38 @@ class TestSemiclassicalPhaseSpace:
 
 class TestBoxBound:
     def test_unit_case_closed_form(self):
-        p = LtParameters(m=1.0, nu=1, C_lt=1.0)
-        expected = 0.6 * 0.4 ** (2.0 / 3.0)
-        assert box_kinetic_lower_bound(1, 1.0, p) == pytest.approx(expected, rel=1e-14)
+        # (3/5) v* with v* = (2 / (5 C))^(2/3)
+        c_lt = 2.0**1.5 / (15.0 * math.pi**2)
+        expected = 0.6 * (0.4 / c_lt) ** (2.0 / 3.0)
+        got = box_kinetic_lower_bound(1, 1.0, 1.0)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_matches_numeric_scan(self):
-        p = LtParameters(m=1.7, nu=2, C_lt=0.05)
-        n, vol = 11, 3.7
+        m, n, vol = 1.7, 11, 3.7
         vs = np.linspace(0.0, 50.0, 400001)
-        scan = (n * vs - p.C_lt * p.m**1.5 * p.nu * vs**2.5 * vol).max()
-        assert box_kinetic_lower_bound(n, vol, p) == pytest.approx(scan, rel=1e-8)
+        scan = (n * vs - classical_lt_constant() * m**1.5 * vs**2.5 * vol).max()
+        assert box_kinetic_lower_bound(n, vol, m) == pytest.approx(scan, rel=1e-8)
 
     def test_joint_scaling(self):
-        p = LtParameters(m=1.0, C_lt=1.0)
-        base = box_kinetic_lower_bound(5, 2.0, p)
-        assert box_kinetic_lower_bound(40, 16.0, p) == pytest.approx(
+        base = box_kinetic_lower_bound(5, 2.0, 1.0)
+        assert box_kinetic_lower_bound(40, 16.0, 1.0) == pytest.approx(
             8.0 * base, rel=1e-12
         )
 
-    def test_degeneracy_scaling(self):
-        base = box_kinetic_lower_bound(7, 1.0, LtParameters(m=1.0, nu=1, C_lt=1.0))
-        eight = box_kinetic_lower_bound(7, 1.0, LtParameters(m=1.0, nu=8, C_lt=1.0))
-        assert eight == pytest.approx(base / 4.0, rel=1e-12)
-
     def test_monotonicity(self):
-        p = LtParameters(m=1.0)
-        assert box_kinetic_lower_bound(10, 1.0, p) > box_kinetic_lower_bound(9, 1.0, p)
-        assert box_kinetic_lower_bound(10, 2.0, p) < box_kinetic_lower_bound(10, 1.0, p)
+        base = box_kinetic_lower_bound(10, 1.0, 1.0)
+        assert base > box_kinetic_lower_bound(9, 1.0, 1.0)
+        assert box_kinetic_lower_bound(10, 2.0, 1.0) < base
+        assert box_kinetic_lower_bound(10, 1.0, 2.0) < base
 
     def test_rejects_zero_particles(self):
         with pytest.raises(ValueError):
-            box_kinetic_lower_bound(0, 1.0, LtParameters(m=1.0))
+            box_kinetic_lower_bound(0, 1.0, 1.0)
+
+    def test_rejects_nonpositive_mass(self):
+        for m in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                box_kinetic_lower_bound(4, 1.0, m)
 
 
 def coordinate_descent(f, start=(1.0, 1.0), sweeps=80):
@@ -158,61 +158,43 @@ def coordinate_descent(f, start=(1.0, 1.0), sweeps=80):
 
 class TestStabilityConstant:
     def spec(self, mu=0.5, mp=1.0, mm=2.0, qp=1.0, qm=0.7):
-        return (
-            SpeciesSpec(mp, mm, qp, qm, mu),
-            LtParameters(m=mp),
-            LtParameters(m=mm),
-        )
+        return SpeciesSpec(mp, mm, qp, qm, mu)
 
     def test_large_positive_mu_nonpositive(self):
-        s, pp, pm = self.spec(mu=1e6)
-        val = stability_constant(s, pp, pm)
-        assert val <= 0.0
+        assert stability_constant(self.spec(mu=1e6)) <= 0.0
 
     def test_symmetric_species_symmetric_minimizer(self):
-        s, pp, pm = self.spec(mu=-1.0, mp=1.0, mm=1.0, qp=0.8, qm=0.8)
-        f = _density_objective(s, pp, pm)
+        s = self.spec(mu=-1.0, mp=1.0, mm=1.0, qp=0.8, qm=0.8)
+        f = density_objective(s)
         # separable and symmetric objective: swap invariance on the minimum
-        val = stability_constant(s, pp, pm)
+        val = stability_constant(s)
         assert f(2.0, 3.0) == pytest.approx(f(3.0, 2.0), rel=1e-12)
         assert val <= f(1.0, 1.0) + 1e-12
 
     def test_matches_coordinate_descent(self):
-        s, pp, pm = self.spec(mu=0.3)
-        f = _density_objective(s, pp, pm)
-        val = stability_constant(s, pp, pm)
-        cd = coordinate_descent(f)
+        s = self.spec(mu=0.3)
+        val = stability_constant(s)
+        cd = coordinate_descent(density_objective(s))
         assert val == pytest.approx(cd, abs=1e-8 * (1.0 + abs(cd)))
 
     def test_monotone_in_charge(self):
-        vals = []
-        for q in (0.5, 0.8, 1.2, 2.0):
-            s, pp, pm = self.spec(qp=q, qm=q)
-            vals.append(stability_constant(s, pp, pm))
+        vals = [stability_constant(self.spec(qp=q, qm=q)) for q in (0.5, 0.8, 1.2, 2.0)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_mass_mismatch_rejected(self):
-        s = SpeciesSpec(1.0, 2.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            stability_constant(s, LtParameters(m=3.0), LtParameters(m=2.0))
 
     def test_huge_charge_matches_closed_form(self):
         # at mu = 0 each species minimizes c1 x^2 - c2 x in x = n^(5/6), so
         # the constant is -sum c2^2 / (4 c1) even far beyond any scan range
         s = SpeciesSpec(1.0, 1.0, 1e8, 1e8, 0.0)
-        p = LtParameters(m=1.0)
-        c1 = 0.6 * 0.4 ** (2.0 / 3.0) * (p.C_lt * p.nu) ** (-2.0 / 3.0) / (2.0 * p.m)
-        c2 = (p.C_lt * (2.0 * p.m) ** 1.5 * p.nu * (12.0 / 5.0) ** 2.5 * 8.0 * math.pi
-              * s.Q_plus**5 * 6.0 * 5.0 ** (-5.0 / 6.0))
-        assert stability_constant(s, p, p) == pytest.approx(
+        c1, c2 = density_coefficients(1.0, s.Q_plus)
+        assert stability_constant(s) == pytest.approx(
             -2.0 * c2**2 / (4.0 * c1), rel=1e-12
         )
 
     @pytest.mark.parametrize("mu", [-3.0, -0.1, 10.0, 1e3])
     def test_exact_root_never_above_coordinate_descent(self, mu):
-        s, pp, pm = self.spec(mu=mu)
-        f = _density_objective(s, pp, pm)
-        val = stability_constant(s, pp, pm)
+        s = self.spec(mu=mu)
+        f = density_objective(s)
+        val = stability_constant(s)
         cd = coordinate_descent(f)
         assert val <= cd + 1e-13 * abs(cd)
         assert val == pytest.approx(cd, abs=1e-8 * (1.0 + abs(cd)))
@@ -306,9 +288,8 @@ class TestDirichletSums:
         assert ladder_levels_below(ladder, 1.0, 1.5, ndim=3).size == 0
 
     def test_dominates_box_bound_with_classical_constant(self):
-        p = LtParameters(m=1.0)
         for n in (1, 2, 8, 37, 200, 1500, 10000):
             for side in (0.5, 1.0, 4.0):
                 sum_d = dirichlet_cube_kinetic_sum(n, side, 1.0)
-                bound = box_kinetic_lower_bound(n, side**3, p)
+                bound = box_kinetic_lower_bound(n, side**3, 1.0)
                 assert sum_d >= bound * (1.0 - 1e-12)

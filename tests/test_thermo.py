@@ -90,10 +90,13 @@ def permuted_corner(ell):
 
 class TestDomains:
     def test_box_volume_and_containment(self):
-        box = BoxDomain(2.0, center=(1.0, 0.0, 0.0))
+        # the box is centred at the origin: faces at +-1, edges included
+        box = BoxDomain(2.0)
         assert box.volume() == 8.0
-        pts = np.array([[1.0, 0.0, 0.0], [2.5, 0.0, 0.0]])
-        assert list(box.contains(pts)) == [True, False]
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.5, 0.0]])
+        assert list(box.contains(pts)) == [True, True, False]
+        lo, hi = box.bounding_box()
+        assert lo.tolist() == [-1.0] * 3 and hi.tolist() == [1.0] * 3
 
     def test_lattice_volume_close_to_exact(self):
         # the midpoint raster's inside cells fill the simplex to O(h)
