@@ -412,6 +412,8 @@ def dyson_variational_solve(
     """
     from scipy.linalg import solve_banded
 
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
     if i0 is None:
         i0 = working_i0()
     r = np.linspace(0.0, r_max, grid_n + 1)

@@ -1,10 +1,11 @@
 """Command-line orchestration: one subcommand per experiment.
 
-All runs are seeded (default seed 137, overridable with --seed) and emit
-canonical JSON or CSV, so identical invocations produce byte-identical
-artifacts.  Exit status: 0 when every checked invariant holds, 1 on an
-invariant violation, 2 on usage errors, 3 when the library raises an error
-during the run; the error then goes to stderr as one canonical JSON object
+All runs are seeded (default seed 137) and emit canonical JSON or CSV, so
+identical invocations produce byte-identical artifacts.  Flags follow the
+subcommand, and each subcommand offers only the flags its runner reads.
+Exit status: 0 when every checked invariant holds, 1 on an invariant
+violation, 2 on usage errors, 3 when the library raises an error during the
+run; the error then goes to stderr as one canonical JSON object
 {"error": class name, "message": ..., "subcommand": ...}.
 """
 from __future__ import annotations
@@ -50,15 +51,14 @@ FIRST_KIND_CASES = (
 )
 
 
-def _emit(args: argparse.Namespace, artifact: dict | None,
-          rows: list[dict] | None = None, header: dict | None = None):
-    if args.format == "csv" and rows is not None:
-        text = rows_to_csv(rows, header=header)
+def _emit(args: argparse.Namespace, artifact: dict, rows: list[dict] | None = None):
+    # only the subcommands that write rows offer --format; a CSV carries the
+    # artifact without its rows as its header
+    if rows is not None and args.format == "csv":
+        text = rows_to_csv(rows, artifact)
     else:
-        payload = dict(artifact or {})
-        if rows is not None:
-            payload["rows"] = rows
-        text = dumps_canonical(payload) + "\n"
+        text = dumps_canonical(artifact if rows is None else {**artifact, "rows": rows})
+        text += "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
@@ -75,16 +75,14 @@ def _run_i0(args: argparse.Namespace) -> int:
         "closed_form": closed,
         "rel_diff": rel,
         "pass": ok,
-        "seed": args.seed,
     })
     return 0 if ok else 1
 
 
 def _run_dyson_solve(args: argparse.Namespace) -> int:
-    grid_n = args.grid_n or 2000
-    state = bogoliubov.dyson_variational_solve(grid_n=grid_n)
+    state = bogoliubov.dyson_variational_solve(grid_n=args.grid_n)
     ok = state.virial_residual < VIRIAL_TOL and state.energy < 0
-    header = {
+    artifact = {
         "K": state.kinetic,
         "P": state.potential,
         "E": state.energy,
@@ -101,27 +99,25 @@ def _run_dyson_solve(args: argparse.Namespace) -> int:
         {"r": float(r), "phi": float(v)}
         for r, v in zip(state.phi.nodes[::10], state.phi.values[::10])
     ]
-    _emit(args, header, rows=rows, header=header)
+    _emit(args, artifact, rows=rows)
     return 0 if ok else 1
 
 
 def _run_dyson_pipeline(args: argparse.Namespace) -> int:
-    grid_n = args.grid_n or 2000
-    report = bogoliubov.dyson_pipeline(grid_n=grid_n)
+    report = bogoliubov.dyson_pipeline(grid_n=args.grid_n)
     ok = report.max_relative_spread < PIPELINE_SPREAD_TOL
     artifact = report.to_dict()
     artifact["pass"] = ok
     rows = artifact.pop("rows")
-    _emit(args, artifact, rows=rows, header=artifact)
+    _emit(args, artifact, rows=rows)
     return 0 if ok else 1
 
 
 def _run_fock_oracle(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    count = args.samples or 20
     worst = 0.0
     rows = []
-    for _ in range(count):
+    for _ in range(args.samples):
         n_modes = int(rng.integers(1, 4))
         lambdas = tuple(rng.uniform(0.0, 0.55, size=n_modes))
         amp = float(np.sqrt(rng.uniform(0.0, 8.0)))
@@ -141,15 +137,14 @@ def _run_fock_oracle(args: argparse.Namespace) -> int:
 
 def _run_onsager(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    count = args.samples or 2000
     violations = 0
-    for _ in range(count):
+    for _ in range(args.samples):
         config = coulomb.random_neutral_configuration(rng)
         rep = coulomb.onsager_lower_bound(config)
         if not rep.all_checks_pass:
             violations += 1
     ok = violations == 0
-    _emit(args, {"configs": count, "violations": violations, "pass": ok,
+    _emit(args, {"configs": args.samples, "violations": violations, "pass": ok,
                  "seed": args.seed})
     return 0 if ok else 1
 
@@ -165,8 +160,7 @@ def _run_lt_box(args: argparse.Namespace) -> int:
             rows.append({"N": n, "side": side, "dirichlet_sum": sum_d,
                          "bound": bound, "holds": bool(sum_d >= bound)})
             ok = ok and sum_d >= bound
-    _emit(args, {"pass": ok, "C_lt": c_lt}, rows=rows,
-          header={"C_lt": c_lt, "pass": ok})
+    _emit(args, {"pass": ok, "C_lt": c_lt}, rows=rows)
     return 0 if ok else 1
 
 
@@ -187,26 +181,20 @@ def _run_stability(args: argparse.Namespace) -> int:
         demo = operators.stability_first_kind_demo(charges, mass=mass)
         ok = ok and demo["holds"]
         first_kind.append({"charges": list(charges), "mass": mass, **demo})
-    header = {"first_kind": first_kind, "pass": ok}
-    _emit(args, header, rows=rows, header=header)
+    _emit(args, {"first_kind": first_kind, "pass": ok}, rows=rows)
     return 0 if ok else 1
 
 
 def _run_graf_schenker(args: argparse.Namespace) -> int:
-    samples = args.samples or 20000
     simplex = grafschenker.regular_tetrahedron()
-    ell = 4.0
-    est0, err0 = grafschenker.overlap_kernel(
-        np.zeros(3), np.zeros(3), simplex, ell, samples, seed=args.seed
-    )
+    est0, err0 = grafschenker.overlap_kernel(np.zeros(3), np.zeros(3), simplex, 4.0)
     norm_ok = est0 == 1.0
 
     rng = np.random.default_rng(args.seed)
     config = coulomb.random_neutral_configuration(rng, n_min=6, n_max=10, box=2.0)
     diam = config.diameter
     report = grafschenker.sliding_inequality_experiment(
-        config, simplex, np.array([2.0, 4.0, 8.0, 16.0, 32.0]) * diam,
-        samples, seed=args.seed,
+        config, simplex, np.array([2.0, 4.0, 8.0, 16.0, 32.0]) * diam
     )
     d_vals = report.d_values
     # a sliding bound means D plateaus: its increments must not grow
@@ -236,10 +224,10 @@ def _run_thermo(args: argparse.Namespace) -> int:
     closed = thermo.free_fermion_energy_density(mu, m)
     rel = abs(rep.e_infinity - closed) / abs(closed)
     ok = rel < 0.01
-    header = {"mu": mu, "m": m, "e_infinity": rep.e_infinity, "closed_form": closed,
-              "rel_error": rel, "residual_rms": rep.residual_rms,
-              "fit_warning": rep.fit_warning, "pass": ok}
-    _emit(args, header, rows=rep.rows(), header=header)
+    artifact = {"mu": mu, "m": m, "e_infinity": rep.e_infinity, "closed_form": closed,
+                "rel_error": rel, "residual_rms": rep.residual_rms,
+                "fit_warning": rep.fit_warning, "pass": ok}
+    _emit(args, artifact, rows=rep.rows())
     return 0 if ok else 1
 
 
@@ -265,14 +253,14 @@ def _run_fermi_collapse(args: argparse.Namespace) -> int:
     ok = 1.62 <= rep.fitted_exponent <= 1.72 and rep.onset_n is not None
     artifact = rep.to_dict()
     artifact["pass"] = ok
-    _emit(args, artifact, rows=rep.rows,
-          header={"fitted_exponent": rep.fitted_exponent, "pass": ok})
+    rows = artifact.pop("rows")
+    _emit(args, artifact, rows=rows)
     return 0 if ok else 1
 
 
 def _run_lichnerowicz(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    n = args.grid_n or 32
+    n = args.grid_n
     a = operators.random_band_limited_field(rng, n, 2 * np.pi, components=3,
                                             k_shells=2, real=True)
     psi = operators.random_band_limited_field(rng, n, 2 * np.pi, components=2,
@@ -286,10 +274,9 @@ def _run_lichnerowicz(args: argparse.Namespace) -> int:
 
 def _run_sobolev(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    n = args.grid_n or 32
-    trials = args.samples or 25
+    n = args.grid_n
     worst_gap = np.inf
-    for _ in range(trials):
+    for _ in range(args.samples):
         f = operators.random_band_limited_field(rng, n, 2 * np.pi, components=1,
                                                 k_shells=2, windowed=True)
         a = operators.random_band_limited_field(rng, n, 2 * np.pi, components=3,
@@ -297,7 +284,7 @@ def _run_sobolev(args: argparse.Namespace) -> int:
         lhs, mid, sob = operators.diamagnetic_sobolev_check(f, a, 0.9)
         worst_gap = min(worst_gap, lhs - mid)
     ok = bool(worst_gap >= -1e-12)
-    _emit(args, {"trials": trials, "worst_gap": float(worst_gap), "pass": ok,
+    _emit(args, {"trials": args.samples, "worst_gap": float(worst_gap), "pass": ok,
                  "constant": operators.sobolev_test_constant(), "seed": args.seed})
     return 0 if ok else 1
 
@@ -316,23 +303,40 @@ def _run_legendre(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-_RUNNERS = {
-    "i0": _run_i0,
-    "dyson-solve": _run_dyson_solve,
-    "dyson-pipeline": _run_dyson_pipeline,
-    "fock-oracle": _run_fock_oracle,
-    "onsager-check": _run_onsager,
-    "lt-box": _run_lt_box,
-    "stability-constant": _run_stability,
-    "graf-schenker": _run_graf_schenker,
-    "thermo-limit": _run_thermo,
-    "rel-collapse": _run_rel_collapse,
-    "fermi-collapse": _run_fermi_collapse,
-    "lichnerowicz": _run_lichnerowicz,
-    "sobolev": _run_sobolev,
-    "legendre": _run_legendre,
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
+# how each flag parses; every subcommand also offers --out
+_FLAG_TYPES = {
+    "--seed": {"type": int},
+    "--format": {"choices": ("json", "csv")},
+    "--samples": {"type": _positive_int},
+    "--grid-n": {"type": _positive_int},
 }
-SUBCOMMANDS = tuple(_RUNNERS)
+_JSON = {"--format": "json"}
+_SEED = {"--seed": DEFAULT_SEED}
+
+# each subcommand's runner and the flags it reads, with their defaults
+_SUBCOMMANDS = {
+    "i0": (_run_i0, {}),
+    "dyson-solve": (_run_dyson_solve, {**_JSON, "--grid-n": 2000}),
+    "dyson-pipeline": (_run_dyson_pipeline, {**_JSON, "--grid-n": 2000}),
+    "fock-oracle": (_run_fock_oracle, {**_SEED, "--samples": 20}),
+    "onsager-check": (_run_onsager, {**_SEED, "--samples": 2000}),
+    "lt-box": (_run_lt_box, _JSON),
+    "stability-constant": (_run_stability, _JSON),
+    "graf-schenker": (_run_graf_schenker, {**_SEED, **_JSON}),
+    "thermo-limit": (_run_thermo, _JSON),
+    "rel-collapse": (_run_rel_collapse, {}),
+    "fermi-collapse": (_run_fermi_collapse, _JSON),
+    "lichnerowicz": (_run_lichnerowicz, {**_SEED, "--grid-n": 32}),
+    "sobolev": (_run_sobolev, {**_SEED, "--grid-n": 32, "--samples": 25}),
+    "legendre": (_run_legendre, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,12 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coulomblab",
         description="Numerical experiments on Coulomb gas bounds.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--grid-n", dest="grid_n", type=int, default=None)
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (runner, flags) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name)
+        sub.add_argument("--out", type=str, default=None)
+        for flag, default in flags.items():
+            sub.add_argument(flag, default=default, **_FLAG_TYPES[flag])
+        sub.set_defaults(runner=runner)
     return parser
 
 
@@ -356,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return _RUNNERS[args.subcommand](args)
+        return args.runner(args)
     except _LIBRARY_ERRORS as exc:
         sys.stderr.write(dumps_canonical({
             "error": type(exc).__name__,

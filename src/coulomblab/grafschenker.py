@@ -221,7 +221,7 @@ def overlap_kernel(
     r_prime: np.ndarray,
     simplex: Simplex,
     ell: float,
-    samples: int,
+    samples: int = 20000,
     seed=0,
 ) -> tuple[float, float]:
     """F(r, r') / |l simplex| = ``radial_kernel`` at |r' - r|, with error 0.
@@ -322,7 +322,7 @@ def sliding_inequality_experiment(
     c: ChargeConfiguration,
     simplex: Simplex,
     ell_list: np.ndarray,
-    samples: int,
+    samples: int = 20000,
     seed: int = 0,
 ) -> SlidingReport:
     """Averaged restricted Coulomb sums and the normalized defect D(l).

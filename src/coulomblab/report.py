@@ -50,18 +50,16 @@ def dumps_canonical(obj: Any) -> str:
     return _canon(obj)
 
 
-def rows_to_csv(rows: list[dict], header: dict | None = None) -> str:
+def rows_to_csv(rows: list[dict], header: dict) -> str:
     """CSV text for a list of uniform dict rows.
 
-    An optional JSON header dict is emitted as a leading comment line so a
-    single file carries both the table and the run parameters.
+    The JSON header dict is emitted as a leading comment line so a single
+    file carries both the table and the run parameters.
     """
+    lines = ["# " + dumps_canonical(header)]
     if not rows:
-        return "" if header is None else "# " + dumps_canonical(header) + "\n"
+        return lines[0] + "\n"
     cols = list(rows[0].keys())
-    lines = []
-    if header is not None:
-        lines.append("# " + dumps_canonical(header))
     lines.append(",".join(cols))
     for row in rows:
         cells = []

@@ -350,6 +350,11 @@ class TestDysonSolver:
         with pytest.raises(ConvergenceError):
             dyson_variational_solve(grid_n=1500, r_max=40.0, max_iter=1)
 
+    @pytest.mark.parametrize("grid_n", [1, 0])
+    def test_grid_without_interior_node_rejected(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be at least 2"):
+            dyson_variational_solve(grid_n=grid_n)
+
     def test_custom_init_same_minimum(self, solved_state):
         r = np.linspace(0.0, 40.0, 801)
         init = RadialGridFunction(r, np.exp(-r / 2.0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -47,12 +48,43 @@ class TestCliContract:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert main(["does-not-exist"]) == 2
 
-    def test_option_set(self):
-        # each run setting has one source, its flag; tolerances are constants
-        options = {opt for action in build_parser()._actions
-                   for opt in action.option_strings}
-        assert options - {"-h", "--help"} == {
-            "--seed", "--out", "--format", "--samples", "--grid-n"}
+    def test_subcommand_option_sets(self):
+        # each subcommand offers --out and only the flags its runner reads
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        offered = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help", "--out"}
+            for name, sub in subparsers.choices.items()
+        }
+        rows, seeded = {"--format"}, {"--seed"}
+        assert offered == {
+            "i0": set(),
+            "dyson-solve": rows | {"--grid-n"},
+            "dyson-pipeline": rows | {"--grid-n"},
+            "fock-oracle": seeded | {"--samples"},
+            "onsager-check": seeded | {"--samples"},
+            "lt-box": rows,
+            "stability-constant": rows,
+            "graf-schenker": seeded | rows,
+            "thermo-limit": rows,
+            "rel-collapse": set(),
+            "fermi-collapse": rows,
+            "lichnerowicz": seeded | {"--grid-n"},
+            "sobolev": seeded | {"--grid-n", "--samples"},
+            "legendre": set(),
+        }
+        assert len(offered) + sum(map(len, offered.values())) == 33
+
+    @pytest.mark.parametrize("argv", [
+        "onsager-check --samples -3", "fock-oracle --samples 0", "sobolev --grid-n 0",
+        "lt-box --samples 9", "i0 --seed 5", "i0 --format csv",
+        "graf-schenker --samples 500", "--seed 5 fock-oracle",
+    ])
+    def test_flag_outside_its_subcommand_is_usage_error(self, argv, capsys):
+        # counts are positive, and a flag follows the subcommand that reads it
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_tolerance_rejected(self, capsys):
         assert main(["legendre", "--tol", "not_a_tol=1"]) == 2
@@ -143,14 +175,23 @@ class TestCliContract:
         assert lines[1] == "N,E_upper,E_upper_over_N75,length_scale"
 
     def test_library_error_is_structured(self, capsys):
-        assert main(["graf-schenker", "--samples", "500"]) == 3
+        assert main(["lichnerowicz", "--grid-n", "15"]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err) == {
             "error": "ValueError",
-            "message": "need at least 1000 samples",
-            "subcommand": "graf-schenker",
+            "message": "grid_n must be even and at least 16",
+            "subcommand": "lichnerowicz",
         }
+
+    def test_dyson_grid_without_interior_node_is_structured(self, capsys):
+        assert main(["dyson-solve", "--grid-n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            '{"error":"ValueError","message":"grid_n must be at least 2",'
+            '"subcommand":"dyson-solve"}\n'
+        )
 
     def test_convergence_error_is_structured(self, monkeypatch, capsys):
         def fail(**kwargs):
@@ -290,6 +331,20 @@ class TestCliContract:
         lines = out.read_text().strip().split("\n")
         assert lines[1] == "N,kinetic,estimate"
         assert json.loads(lines[0][2:])["pass"] is True
+
+    @pytest.mark.parametrize("subcommand", [
+        "lt-box", "stability-constant", "graf-schenker", "thermo-limit", "fermi-collapse",
+    ])
+    def test_csv_header_is_the_artifact_without_rows(self, subcommand, tmp_path):
+        json_out, csv_out = tmp_path / "a.json", tmp_path / "a.csv"
+        assert main([subcommand, "--out", str(json_out)]) == 0
+        assert main([subcommand, "--format", "csv", "--out", str(csv_out)]) == 0
+        artifact = json.loads(json_out.read_text())
+        rows = artifact.pop("rows")
+        lines = csv_out.read_text().split("\n")
+        assert lines[0] == "# " + dumps_canonical(artifact)
+        assert set(lines[1].split(",")) == set(rows[0])
+        assert len(lines) == len(rows) + 3  # header, columns, rows, final newline
 
     def test_config_and_tol_are_usage_errors(self, tmp_path, capsys):
         # a once valid config file and tolerance override are now unknown options
