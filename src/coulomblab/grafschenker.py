@@ -37,8 +37,6 @@ __all__ = [
     "sliding_inequality_experiment",
 ]
 
-BARYCENTRIC_SLACK = 1e-12
-
 
 @dataclass
 class Simplex:
@@ -78,21 +76,14 @@ def regular_tetrahedron(edge: float = 1.0) -> Simplex:
 
 
 class SimplexTester:
-    """Barycentric containment test for g(l simplex) in batch form."""
+    """The linear parts of the barycentric coordinates of l simplex."""
 
     def __init__(self, simplex: Simplex, ell: float):
         if ell <= 0:
             raise ValueError("ell must be positive")
-        self.v0 = ell * simplex.vertices[0]
-        self.inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
+        inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
         # linear parts a_k . v of the barycentric coordinates of vertices 1, 2, 3, 0
-        self.forms = np.vstack([self.inv_edges, -self.inv_edges.sum(axis=0)])
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """points (..., 3) in the reference simplex placement."""
-        lam = (points - self.v0) @ self.inv_edges.T
-        ok = np.all(lam >= -BARYCENTRIC_SLACK, axis=-1)
-        return ok & (lam.sum(axis=-1) <= 1.0 + BARYCENTRIC_SLACK)
+        self.forms = np.vstack([inv_edges, -inv_edges.sum(axis=0)])
 
 
 def _face_triangles(simplex: Simplex, ell: float) -> tuple[np.ndarray, ...]:

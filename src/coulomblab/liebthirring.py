@@ -176,10 +176,16 @@ def ladder_levels_below(
     ladder = ladder[scale * ladder < threshold]
     if ladder.size == 0:
         return np.empty(0)
-    mesh = np.meshgrid(*[np.arange(ladder.size)] * ndim, indexing="ij")
-    sums = sum(ladder[a] for a in mesh)
-    if strict:
-        sums = sums[np.all(np.diff(mesh, axis=0) > 0, axis=0)]
+    # axis k carries the index a_(k+1); adding the axes left to right rounds
+    # every tuple's sum as (l_a1 + l_a2) + l_a3
+    axes = [ladder.reshape((-1,) + (1,) * k) for k in range(ndim - 1, -1, -1)]
+    sums = sum(axes)
+    if strict and ndim > 1:
+        index = [np.arange(ladder.size).reshape(a.shape) for a in axes]
+        keep = index[0] < index[1]
+        for lo, hi in zip(index[1:], index[2:]):
+            keep = keep & (lo < hi)
+        sums = sums[keep]
     levels = scale * sums.reshape(-1)
     return np.sort(levels[levels < threshold])
 

@@ -5,9 +5,12 @@ exact Dirichlet mode sums on axis-aligned boxes and on the corner
 tetrahedron, and ``thermodynamic_extrapolation`` fits the bulk density of a
 scaled family.  A rasterized finite-difference Dirichlet Laplacian (a
 discretization-biased estimator used only for shape-independence checks) is
-summed for the two masks with a known lattice spectrum: the full n^3 grid
-and its chamber {j1 <= j2 <= j3}, both with equal steps (the rasters of an
-axis-aligned cube and of the corner tetrahedron).
+summed for the two domains whose raster has a known lattice spectrum, read
+from the domain's type and scale: an axis-aligned cube, whose raster is the
+full n^3 grid, and the corner tetrahedron, whose raster is its chamber
+{j1 <= j2 <= j3}, both with equal steps.  The tests keep the midpoint raster
+and its barycentric containment test as the oracle that each raster is that
+mask.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grafschenker import Simplex, SimplexTester
+from .grafschenker import Simplex
 from .liebthirring import (
     classical_lt_constant,
     cube_mode_energies_below,
@@ -25,7 +28,6 @@ from .liebthirring import (
 )
 
 __all__ = [
-    "Domain",
     "BoxDomain",
     "SimplexDomain",
     "free_fermion_box_energy",
@@ -38,75 +40,44 @@ __all__ = [
     "ExtrapolationReport",
 ]
 
-
-class Domain:
-    """Bounded region of 3-space with containment test and bounding box."""
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def volume(self) -> float:
-        raise NotImplementedError
+# the corner tetrahedron's vertices, sorted so that a vertex list in any order
+# equals them once sorted
+_CORNER_VERTICES = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
 
 
 @dataclass
-class BoxDomain(Domain):
+class BoxDomain:
+    """Axis-aligned cube of the given side."""
+
     side: float
 
     def __post_init__(self):
         if self.side <= 0:
             raise ValueError("side must be positive")
 
-    def contains(self, points):
-        return np.all(np.abs(points) <= self.side / 2.0, axis=-1)
-
-    def bounding_box(self):
-        half = np.full(3, self.side / 2.0)
-        return -half, half
-
     def volume(self) -> float:
         return self.side**3
 
 
 @dataclass
-class SimplexDomain(Domain):
+class SimplexDomain:
     """ell simplex, in the simplex's own placement."""
 
     simplex: Simplex
     ell: float = 1.0
 
     def __post_init__(self):
-        self._tester = SimplexTester(self.simplex, self.ell)
-
-    def contains(self, points):
-        return self._tester.contains(points)
-
-    def bounding_box(self):
-        verts = self.ell * self.simplex.vertices
-        return verts.min(axis=0), verts.max(axis=0)
+        if self.ell <= 0:
+            raise ValueError("ell must be positive")
 
     def volume(self) -> float:
         return self.simplex.volume * self.ell**3
 
 
-def _midpoint_raster(domain: Domain, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Containment mask of the midpoint lattice on the domain's bounding box.
-
-    Each axis gets ceil(extent / h) cells (at least one), so the three steps
-    are at most h.  Keep the midpoints as lo + (i + 1/2) (hi - lo) / count:
-    the corner tetrahedron's diagonal sites lie on its faces, so whether
-    they pass its barycentric test depends on the rounding of these values.
-    """
-    lo, hi = domain.bounding_box()
-    counts = np.maximum(np.ceil((hi - lo) / h).astype(int), 1)
-    axes = [lo[i] + (np.arange(counts[i]) + 0.5) * (hi[i] - lo[i]) / counts[i]
-            for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    mask = domain.contains(pts.reshape(-1, 3)).reshape(pts.shape[:-1])
-    return mask, (hi - lo) / counts
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def free_fermion_box_energy(side: float, mu: float, m: float) -> float:
@@ -118,8 +89,7 @@ def free_fermion_box_energy(side: float, mu: float, m: float) -> float:
     """
     if mu >= 0:
         raise ValueError("mu must be negative for a finite filled set")
-    if side <= 0 or m <= 0:
-        raise ValueError("side and mass must be positive")
+    _require_positive(side=side, m=m)
     return float(np.sum(cube_mode_energies_below(-mu, side, m) + mu))
 
 
@@ -135,37 +105,34 @@ def free_fermion_energy_density(mu: float, m: float) -> float:
     return -classical_lt_constant() * m**1.5 * (-mu) ** 2.5
 
 
-def _solvable_ladder(
-    mask: np.ndarray, steps: np.ndarray
-) -> tuple[np.ndarray, bool] | None:
-    """The 1-D ladder of a raster with a known spectrum, and whether it is strict.
+def _lattice_length(domain: BoxDomain | SimplexDomain) -> tuple[float, bool]:
+    """The edge length of a raster with a known spectrum, and whether it is strict.
 
-    With n sites and step s on every axis, two masks have a separable
-    spectrum.  The full n^3 grid has the levels l_a + l_b + l_c over all
-    a, b, c in 1..n, with l_a = (1 - cos(pi a / (n + 1))) / (m s^2).  The
-    chamber {j1 <= j2 <= j3} shifts to {0 <= k1 < k2 < k3 <= n + 1} by
-    k_i = j_i + i - 1, where a neighbour that leaves the set lands on a plane
-    k_i = k_(i+1) on which an antisymmetric function vanishes: its levels are
-    those of the (n + 2)^3 grid over strictly increasing a < b < c.  The
-    ladder is returned without its factor 1 / (m s^2); any other mask gives
-    None.
+    The midpoint raster of a domain is anchored to its bounding box with
+    n = max(ceil(length / h), 1) sites of step s = length / n on each axis.
+    Two rasters have a separable spectrum.  A cube's is the full n^3 grid,
+    with the levels l_a + l_b + l_c over all a, b, c in 1..n and
+    l_a = (1 - cos(pi a / (n + 1))) / (m s^2).  The corner tetrahedron's, in
+    any vertex order, is the chamber {j1 <= j2 <= j3} of that grid, its
+    diagonal sites included (the tests check both masks against the
+    barycentric containment of every site).  The chamber shifts to
+    {0 <= k1 < k2 < k3 <= n + 1} by k_i = j_i + i - 1, where a neighbour
+    that leaves the set lands on a plane k_i = k_(i+1) on which an
+    antisymmetric function vanishes: its levels are those of the
+    (n + 2)^3 grid over strictly increasing a < b < c.  Any other domain
+    raises ValueError.
     """
-    n = mask.shape[0]
-    if mask.shape != (n, n, n) or not steps[0] == steps[1] == steps[2]:
-        return None
-    if mask.all():
-        size, strict = n, False
-    else:
-        j = np.arange(n)
-        chamber = (j[:, None, None] <= j[None, :, None]) & (j[None, :, None] <= j)
-        if not np.array_equal(mask, chamber):
-            return None
-        size, strict = n + 2, True
-    return 1.0 - np.cos(np.pi * np.arange(1, size + 1) / (size + 1)), strict
+    if isinstance(domain, BoxDomain):
+        return domain.side, False
+    if isinstance(domain, SimplexDomain) \
+            and sorted(domain.simplex.vertices.tolist()) == _CORNER_VERTICES:
+        return domain.ell, True
+    raise ValueError("the domain is neither a cube nor the corner tetrahedron, so "
+                     "its raster's lattice spectrum is not known")
 
 
 def rasterized_dirichlet_energy(
-    domain: Domain, mu: float, m: float, h: float
+    domain: BoxDomain | SimplexDomain, mu: float, m: float, h: float
 ) -> float:
     """Free fermion energy on the lattice rasterization of a domain.
 
@@ -174,31 +141,29 @@ def rasterized_dirichlet_energy(
     mode below -mu filled.  Biased at O(h) by the staircase boundary; used
     only for shape-independence checks, never as the exact box path.
 
-    Two masks have a known spectrum: the full n^3 grid and the chamber
-    {j1 <= j2 <= j3} of one, both with equal steps (the raster of an
-    axis-aligned cube and of the corner tetrahedron).  Their filled levels
-    are summed from a 1-D ladder by ``ladder_levels_below``; see
-    ``_solvable_ladder``.  The check reads the mask, not the domain's type,
-    and any other mask raises ValueError.
+    Two domains have a raster with a known spectrum: a cube, whose raster is
+    the full n^3 grid, and the corner tetrahedron, whose raster is the
+    chamber {j1 <= j2 <= j3} of one, both with equal steps.  The domain's
+    type and scale fix the mask (``_lattice_length``; the tests keep the
+    midpoint raster as the oracle that it is that mask), and the filled
+    levels are summed from a 1-D ladder by ``ladder_levels_below``.  Any
+    other domain raises ValueError.
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
-    mask, steps = _midpoint_raster(domain, h)
-    solvable = _solvable_ladder(mask, steps)
-    if solvable is None:
-        raise ValueError("the raster is neither a full cube grid nor its corner "
-                         "chamber, so its lattice spectrum is not known")
-    ladder, strict = solvable
-    levels = ladder_levels_below(ladder, 1.0 / (m * steps[0] ** 2), -mu,
+    _require_positive(m=m, h=h)
+    length, strict = _lattice_length(domain)
+    n = max(math.ceil(length / h), 1)
+    size = n + 2 if strict else n
+    ladder = 1.0 - np.cos(np.pi * np.arange(1, size + 1) / (size + 1))
+    levels = ladder_levels_below(ladder, 1.0 / (m * (length / n) ** 2), -mu,
                                  strict=strict)
     return float(np.sum(levels + mu))
 
 
 def corner_tetrahedron() -> Simplex:
     """The simplex 0 <= x1 <= x2 <= x3 <= 1, a reflection cell of the cube."""
-    return Simplex(np.array(
-        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    ))
+    return Simplex(np.array(_CORNER_VERTICES))
 
 
 def corner_simplex_exact_energy(ell: float, mu: float, m: float) -> float:
@@ -212,6 +177,7 @@ def corner_simplex_exact_energy(ell: float, mu: float, m: float) -> float:
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
+    _require_positive(ell=ell, m=m)
     return float(np.sum(cube_mode_energies_below(-mu, ell, m, strict=True) + mu))
 
 
@@ -240,8 +206,8 @@ class ExtrapolationReport:
 
 
 def thermodynamic_extrapolation(
-    energy: Callable[[Domain], float],
-    family: Callable[[float], Domain],
+    energy: Callable[[BoxDomain | SimplexDomain], float],
+    family: Callable[[float], BoxDomain | SimplexDomain],
     l_list: np.ndarray,
 ) -> ExtrapolationReport:
     """Fit e(L) = e_inf + a/L + b/L^2 to energy densities of a scaled family.

@@ -25,6 +25,7 @@ from coulomblab.numerics import RadialGridFunction
 from coulomblab.thermo import corner_tetrahedron
 from fourier_oracle import radial_fourier_transform
 from isometry_oracle import overlap_estimate, random_rotations, sliding_estimates
+from raster_oracle import simplex_contains
 
 SEED = 137
 
@@ -38,7 +39,6 @@ def covering_cell_average(points, weights, simplex, ell, samples, rng):
     indicator vanishes) and each point is tested for containment.  Reported
     per unit |l simplex| with its standard error.
     """
-    tester = SimplexTester(simplex, ell)
     reach = ell * float(np.sqrt((simplex.vertices**2).sum(-1)).max())
     lo = points.min(axis=0) - reach
     hi = points.max(axis=0) + reach
@@ -51,7 +51,7 @@ def covering_cell_average(points, weights, simplex, ell, samples, rng):
         trans = rng.uniform(lo, hi, size=(m, 3))
         # map the points into the reference placement: R^T (p - t)
         local = np.einsum("mji,mpj->mpi", rots, points[None] - trans[:, None])
-        inside = tester.contains(local).astype(float)
+        inside = simplex_contains(simplex, ell, local).astype(float)
         vals = 0.5 * np.einsum("mi,mj,ij->m", inside, inside, weights)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab import thermo
 from coulomblab.grafschenker import Simplex, regular_tetrahedron
 from coulomblab.thermo import (
     BoxDomain,
@@ -17,6 +16,7 @@ from coulomblab.thermo import (
     rasterized_dirichlet_energy,
     thermodynamic_extrapolation,
 )
+from raster_oracle import bounding_box, chamber, contains, mask_ladder_energy, midpoint_raster
 
 
 def brute_force_box_energy(side, mu, m, cap=40):
@@ -62,7 +62,7 @@ def dense_raster_spectrum(domain, h, m):
     neighbours that are both inside, a neighbour outside being a zero
     boundary value.  It needs equal steps s on the three axes.
     """
-    mask, steps = thermo._midpoint_raster(domain, h)
+    mask, steps = midpoint_raster(domain, h)
     assert steps[0] == steps[1] == steps[2]
     sites = np.argwhere(mask)
     index = np.full(mask.shape, -1)
@@ -94,14 +94,14 @@ class TestDomains:
         box = BoxDomain(2.0)
         assert box.volume() == 8.0
         pts = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.5, 0.0]])
-        assert list(box.contains(pts)) == [True, True, False]
-        lo, hi = box.bounding_box()
+        assert list(contains(box, pts)) == [True, True, False]
+        lo, hi = bounding_box(box)
         assert lo.tolist() == [-1.0] * 3 and hi.tolist() == [1.0] * 3
 
     def test_lattice_volume_close_to_exact(self):
         # the midpoint raster's inside cells fill the simplex to O(h)
         simp = SimplexDomain(regular_tetrahedron(), ell=4.0)
-        mask, steps = thermo._midpoint_raster(simp, 0.05)
+        mask, steps = midpoint_raster(simp, 0.05)
         lattice = float(np.prod(steps)) * np.count_nonzero(mask)
         assert lattice == pytest.approx(simp.volume(), rel=0.02)
 
@@ -214,8 +214,41 @@ class TestRasterEigensolve:
         assert rasterized_dirichlet_energy(dom, -2.0, 1.0, 0.5) == first
 
 
+# (shape, length, h, mu): the `raster` benchmark workload's four cases,
+# criterion 8's twelve corner rasters, and the dense eigensolves below
+ORACLE_CASES = list(dict.fromkeys(
+    [("box", 6.0, 0.5, -1.0), ("box", 7.0, 0.5, -3.75),
+     ("simplex", 10.0, 0.5, -2.0), ("simplex", 12.0, 0.6, -5.0)]
+    + [("simplex", ell, h, -2.0) for h in (0.6, 0.45, 0.36)
+       for ell in (12.5, 15.0, 18.0, 20.0)]
+    + [("simplex", 5.0, 0.5, -8.0), ("simplex", 6.0, 0.5, -5.0),
+       ("simplex", 7.0, 0.5, -3.0), ("simplex", 5.0, 0.35, -12.0),
+       ("simplex", 12.5, 0.5, -2.0)]
+))
+
+
 class TestRasterRoute:
-    """Which masks sum their lattice ladder, and which have no estimator."""
+    """Which domains sum their lattice ladder, and which have no estimator."""
+
+    @pytest.mark.parametrize("shape, length, h, mu", ORACLE_CASES)
+    def test_domain_fixes_the_raster_mask(self, shape, length, h, mu):
+        # the library reads the mask from the domain's type and scale; the
+        # midpoint raster, site by site, must be that mask, and the ladder
+        # read from it must give the same float
+        n = max(math.ceil(length / h), 1)
+        if shape == "box":
+            domains = [BoxDomain(length)]
+        else:
+            corner = corner_tetrahedron().vertices
+            domains = [SimplexDomain(Simplex(corner[list(order)]), length)
+                       for order in itertools.permutations(range(4))]
+        for dom in domains:
+            mask, steps = midpoint_raster(dom, h)
+            assert steps.tolist() == [length / n] * 3
+            assert np.array_equal(mask, np.ones((n, n, n), bool) if shape == "box"
+                                  else chamber(n))
+            assert rasterized_dirichlet_energy(dom, mu, 1.0, h) \
+                == mask_ladder_energy(mask, steps, mu, 1.0)
 
     @pytest.mark.parametrize("h", [0.6, 0.45, 0.36])
     def test_criterion_8_corners_take_the_lattice(self, h):
@@ -245,6 +278,29 @@ class TestRasterRoute:
     def test_other_masks_raise(self, domain):
         with pytest.raises(ValueError, match="lattice spectrum is not known"):
             rasterized_dirichlet_energy(domain, -2.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("energy, args", [
+        (rasterized_dirichlet_energy, (BoxDomain(6.0), -1.0, 1.0, 0.0)),
+        (rasterized_dirichlet_energy, (BoxDomain(6.0), -1.0, 1.0, -0.5)),
+        (rasterized_dirichlet_energy, (BoxDomain(6.0), -1.0, 1.0, math.nan)),
+        (rasterized_dirichlet_energy, (SimplexDomain(corner_tetrahedron(), 6.0),
+                                       -1.0, 1.0, 0.0)),
+        (rasterized_dirichlet_energy, (SimplexDomain(corner_tetrahedron(), 6.0),
+                                       -1.0, 1.0, -0.5)),
+        (rasterized_dirichlet_energy, (SimplexDomain(corner_tetrahedron(), 6.0),
+                                       -1.0, 1.0, math.nan)),
+        (rasterized_dirichlet_energy, (BoxDomain(6.0), -1.0, 0.0, 0.5)),
+        (rasterized_dirichlet_energy, (BoxDomain(6.0), -1.0, -1.0, 0.5)),
+        (corner_simplex_exact_energy, (0.0, -1.0, 1.0)),
+        (corner_simplex_exact_energy, (-5.0, -1.0, 1.0)),
+        (corner_simplex_exact_energy, (6.0, -1.0, 0.0)),
+        (corner_simplex_exact_energy, (6.0, -1.0, -1.0)),
+    ])
+    def test_impossible_inputs_raise(self, energy, args):
+        # a step, mass or scale that is not positive and finite has no raster
+        # or spectrum
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            energy(*args)
 
     @pytest.mark.parametrize("side, h, mu", [(6.0, 0.5, -1.0), (7.0, 0.5, -3.75)])
     def test_lattice_matches_the_eigensolve_of_the_full_grid(self, side, h, mu):
