@@ -12,6 +12,7 @@ the solution reproduces the N^(7/5) law exactly at the discrete level.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -305,8 +306,13 @@ def compute_I0() -> tuple[float, float]:
     return quadrature, closed
 
 
+@functools.cache
 def working_i0() -> float:
-    """The computed artifact constant (provenance: quadrature, not asserted)."""
+    """The computed artifact constant (provenance: quadrature, not asserted).
+
+    Computed once per process; compute_I0 itself evaluates the quadrature on
+    every call.
+    """
     return compute_I0()[0]
 
 
@@ -354,21 +360,53 @@ class VariationalState:
     i0: float
 
 
-def _dyson_quantities(u: np.ndarray, r: np.ndarray, h: float, i0: float):
-    """K, P and the normalization for the reduced profile u = r Phi."""
-    du = np.diff(u) / h
-    kinetic = 4.0 * math.pi * float(np.dot(du, du)) * h
+def _dyson_grid(r: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid weights w and sqrt(r) on a uniform grid from r = 0.
+
+    sqrt(r) at r = 0 is replaced by 1: every profile u = r Phi vanishes there,
+    so u^(5/2)/sqrt(r) is 0/1 = 0.
+    """
     w = np.full_like(r, h)
     w[0] = w[-1] = 0.5 * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integ = np.where(r > 0, u**2.5 / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
-    potential = 4.0 * math.pi * float(np.dot(w, integ))
-    norm2 = 4.0 * math.pi * float(np.dot(w, u**2))
-    return kinetic, potential, norm2
+    sqrt_r = np.sqrt(r)
+    sqrt_r[0] = 1.0
+    return w, sqrt_r
+
+
+def _dyson_quantities(u: np.ndarray, h: float, w: np.ndarray, sqrt_r: np.ndarray):
+    """K and P of the reduced profile u = r Phi on a grid from _dyson_grid."""
+    du = (u[1:] - u[:-1]) / h
+    kinetic = 4.0 * math.pi * float(np.dot(du, du)) * h
+    potential = 4.0 * math.pi * float(np.dot(w, u**2.5 / sqrt_r))
+    return kinetic, potential
+
+
+def _dyson_norm2(u: np.ndarray, w: np.ndarray) -> float:
+    """4 pi sum w u^2, the squared L2 norm of Phi."""
+    return 4.0 * math.pi * float(np.dot(w, u**2))
+
+
+def _tridiagonal_solve(gtsv, off: np.ndarray, diag: np.ndarray, rhs: np.ndarray):
+    """x with T x = rhs, T symmetric tridiagonal with constant off-diagonal off.
+
+    LAPACK ?gtsv, the routine scipy.linalg.solve_banded dispatches a (1, 1)
+    band to, with its guards: ValueError on a non-finite entry and LinAlgError
+    on an exactly singular pivot.  diag is overwritten; x is Fortran-ordered.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = gtsv(off, diag, off, rhs, overwrite_d=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 # shifts of a rejected Newton step, in units of |mu|; the first is Newton's
 _SHIFTS = (0.0,) + tuple(4.0**k for k in range(-1, 24))
+
+# a projected gradient this many times the unit roundoff of the terms that
+# it cancels from is rounding noise, which no step can reduce
+_ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def dyson_variational_solve(
@@ -392,8 +430,9 @@ def dyson_variational_solve(
         [ J    -d ] [du ]   [-F]
         [ d^T   0 ] [dmu] = [ 0],   J = A - diag(f'(u)) - mu 8 pi diag(w),
 
-    by one banded factorization of J applied to F and d, with dmu from the
-    bordering formula.  The new iterate is clipped to u >= 0 and renormalized.
+    by one tridiagonal solve (LAPACK ?gtsv) of J applied to F and d, with dmu
+    from the bordering formula.  The new iterate is clipped to u >= 0 and
+    renormalized.
     A step that would raise the energy is solved again with J shifted by
     lambda 8 pi diag(w), lambda = |mu|/4, |mu|, 4|mu|, ...: that is a linearized
     backward-Euler step of the normalized gradient flow (Bao & Du, SIAM J.
@@ -404,13 +443,15 @@ def dyson_variational_solve(
     that push a zero entry below zero are dropped, as the bound u >= 0 is
     active there.  Stops when its norm falls below ``tol`` times its value at
     the first iterate and raises ConvergenceError when ``max_iter`` steps do
-    not get there.
+    not get there.  A first iterate that is already a minimizer to rounding,
+    ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||, takes no
+    step and reports a relative gradient of 1.
 
     The stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
     virial identity K = (3/4) I0 P at the minimizer, reported as a residual.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg import get_lapack_funcs
 
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -418,67 +459,79 @@ def dyson_variational_solve(
         i0 = working_i0()
     r = np.linspace(0.0, r_max, grid_n + 1)
     h = r[1] - r[0]
+    w, sqrt_r = _dyson_grid(r, h)
     if init is not None:
-        u = r * np.clip(init(r), 0.0, None)
+        u = r * np.maximum(init(r), 0.0)
     else:
         u = r * np.exp(-(r**2) / (2.0 * 3.0**2))
     u[0] = u[-1] = 0.0
-    u /= math.sqrt(_dyson_quantities(u, r, h, i0)[2])
+    u /= math.sqrt(_dyson_norm2(u, w))
 
     stiff = 4.0 * math.pi / h
-    mass = 8.0 * math.pi * np.full(grid_n - 1, h)  # 8 pi w on the interior
-    pot = 4.0 * math.pi * i0 * h / np.sqrt(r[1:-1])  # I0 4 pi w / sqrt(r)
+    mass = 8.0 * math.pi * h  # 8 pi w on the interior
+    pot = 4.0 * math.pi * i0 * h / sqrt_r[1:-1]  # I0 4 pi w / sqrt(r)
+    pot_grad = 2.5 * pot  # f(u) = pot_grad u^(3/2)
+    pot_curv = 3.75 * pot  # f'(u) = pot_curv u^(1/2)
+    off = np.full(grid_n - 2, -stiff)
+    gtsv = get_lapack_funcs("gtsv", (off,))
 
-    def state_of(uu):
-        """Projected gradient on the interior nodes, its norm, mu and E."""
+    def evaluate(uu):
+        """Projected gradient on the interior nodes, its norm, mu, E, K and P."""
         ui = uu[1:-1]
-        g = stiff * (2.0 * ui - uu[:-2] - uu[2:]) - 2.5 * pot * ui**1.5
+        g = stiff * (2.0 * ui - uu[:-2] - uu[2:]) - pot_grad * ui**1.5
         d = mass * ui
         mu = float(g @ ui) / float(d @ ui)
         f_res = g - mu * d
         norm = float(np.linalg.norm(np.where((ui <= 0.0) & (f_res > 0.0), 0.0, f_res)))
-        kinetic, potential, _ = _dyson_quantities(uu, r, h, i0)
-        return f_res, norm, mu, 0.5 * kinetic - i0 * potential
+        kinetic, potential = _dyson_quantities(uu, h, w, sqrt_r)
+        return f_res, norm, mu, 0.5 * kinetic - i0 * potential, kinetic, potential
 
-    f_res, pg_norm, mu, energy = state_of(u)
+    f_res, pg_norm, mu, energy, kinetic, potential = evaluate(u)
     pg_ref = max(pg_norm, 1e-300)
-    jac = np.empty((3, grid_n - 1))
-    jac[0] = jac[2] = -stiff  # jac[0, 0] and jac[2, -1] are not referenced
+    # the terms that F cancels from, each >= 0 as u >= 0: a start already at
+    # the minimizer, such as a converged profile or the one profile of
+    # grid_n = 2, has F at their rounding and takes no step
+    ui = u[1:-1]
+    terms = (stiff * (u[:-2] + 2.0 * ui + u[2:]) + pot_grad * ui**1.5
+             + abs(mu) * mass * ui)
+    at_floor = pg_norm <= _ROUNDING_FLOOR * float(np.linalg.norm(terms))
     iterations = 0
-    while pg_norm >= tol * pg_ref and iterations < max_iter:
+    while not at_floor and pg_norm >= tol * pg_ref and iterations < max_iter:
         iterations += 1
         ui = u[1:-1]
+        rhs = np.empty((grid_n - 1, 2), order="F")
         d = mass * ui
-        newton_diag = 2.0 * stiff - 3.75 * pot * np.sqrt(ui) - mu * mass
+        rhs[:, 0] = -f_res
+        rhs[:, 1] = d
+        newton_diag = 2.0 * stiff - pot_curv * np.sqrt(ui) - mu * mass
         for shift in _SHIFTS:
-            jac[1] = newton_diag + shift * abs(mu) * mass
-            a, b = solve_banded((1, 1), jac, np.column_stack([-f_res, d])).T
+            diag = newton_diag + shift * abs(mu) * mass
+            a, b = _tridiagonal_solve(gtsv, off, diag, rhs).T
             du = a - (float(d @ a) / float(d @ b)) * b
             trial = np.zeros_like(u)
-            trial[1:-1] = np.clip(ui + du, 0.0, None)
-            trial /= math.sqrt(_dyson_quantities(trial, r, h, i0)[2])
-            trial_state = state_of(trial)
+            np.maximum(ui + du, 0.0, out=trial[1:-1])
+            trial /= math.sqrt(_dyson_norm2(trial, w))
+            trial_state = evaluate(trial)
             # near the minimizer a step moves E by less than its rounding
             if trial_state[3] <= energy + 1e-12 * abs(energy):
                 break
         else:
             break  # no shift lowers the energy
         u = trial
-        f_res, pg_norm, mu, energy = trial_state
+        f_res, pg_norm, mu, energy, kinetic, potential = trial_state
 
     relative_gradient = pg_norm / pg_ref
-    if relative_gradient >= tol:
+    if relative_gradient >= tol and not at_floor:
         raise ConvergenceError(
             f"no convergence in {iterations} Newton steps, relative projected "
             f"gradient {relative_gradient:.3e} >= tol {tol:.1e}"
         )
-    kinetic, potential, _ = _dyson_quantities(u, r, h, i0)
     if energy >= 0:
         raise ConvergenceError("solve ended at a non-negative energy")
     virial = abs(kinetic - 0.75 * i0 * potential) / kinetic
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_vals = np.where(r > 0, u / np.where(r > 0, r, 1.0), 0.0)
+    phi_vals = np.empty_like(r)
+    phi_vals[1:] = u[1:] / r[1:]
     phi_vals[0] = u[1] / h
     phi = RadialGridFunction(r, phi_vals)
     return VariationalState(
@@ -554,7 +607,7 @@ def dyson_pipeline(
         s = big_n**0.2
         r_scaled = r / s
         u_scaled = (big_n**0.3 / s) * u
-        k, p, _ = _dyson_quantities(u_scaled, r_scaled, h / s, state.i0)
+        k, p = _dyson_quantities(u_scaled, h / s, *_dyson_grid(r_scaled, h / s))
         e_upper = 0.5 * big_n * k - state.i0 * big_n**1.25 * p
         rows.append(
             DysonPipelineRow(

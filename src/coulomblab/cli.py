@@ -248,7 +248,8 @@ def _run_rel_collapse(args: argparse.Namespace) -> int:
 
 
 def _run_fermi_collapse(args: argparse.Namespace) -> int:
-    ns = np.unique(np.round(np.geomspace(8, 32768, 16)).astype(int))
+    # a ratio of 2^0.8 between neighbours keeps the rounded sizes distinct
+    ns = np.round(np.geomspace(8, 32768, 16)).astype(int)
     rep = instability.attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
     ok = 1.62 <= rep.fitted_exponent <= 1.72 and rep.onset_n is not None
     artifact = rep.to_dict()

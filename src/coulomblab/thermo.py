@@ -45,6 +45,12 @@ __all__ = [
 _CORNER_VERTICES = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass
 class BoxDomain:
     """Axis-aligned cube of the given side."""
@@ -52,8 +58,7 @@ class BoxDomain:
     side: float
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("side must be positive")
+        _require_positive(side=self.side)
 
     def volume(self) -> float:
         return self.side**3
@@ -67,17 +72,10 @@ class SimplexDomain:
     ell: float = 1.0
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
+        _require_positive(ell=self.ell)
 
     def volume(self) -> float:
         return self.simplex.volume * self.ell**3
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def free_fermion_box_energy(side: float, mu: float, m: float) -> float:
@@ -102,6 +100,7 @@ def free_fermion_energy_density(mu: float, m: float) -> float:
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
+    _require_positive(m=m)
     return -classical_lt_constant() * m**1.5 * (-mu) ** 2.5
 
 

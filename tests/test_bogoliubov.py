@@ -16,6 +16,7 @@ from coulomblab.bogoliubov import (
 )
 from coulomblab.errors import ConvergenceError, TruncationError
 from coulomblab.numerics import RadialGridFunction
+from dyson_oracle import reference_dyson_solve
 
 
 class TestPairExcitationSpec:
@@ -284,19 +285,33 @@ def _projected_gradient_norm(u, r, i0):
     return float(np.linalg.norm(resid))
 
 
+def _assert_same_state(got, want):
+    assert set(vars(got)) == set(vars(want))
+    for name, value in vars(want).items():
+        if name == "phi":
+            assert np.array_equal(got.phi.nodes, value.nodes)
+            assert np.array_equal(got.phi.values, value.values)
+        else:
+            assert getattr(got, name) == value, name
+
+
 class TestDysonSolver:
     def test_dilation_identity_for_any_profile(self):
         # E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P is exact bookkeeping
-        from coulomblab.bogoliubov import _dyson_quantities
+        from coulomblab.bogoliubov import _dyson_grid, _dyson_norm2, _dyson_quantities
+
+        def terms(u, r, h):
+            w, sqrt_r = _dyson_grid(r, h)
+            return (*_dyson_quantities(u, h, w, sqrt_r), _dyson_norm2(u, w))
 
         r = np.linspace(0.0, 30.0, 1200)
         h = r[1] - r[0]
         u = r * np.exp(-((r - 3.0) ** 2))
-        k0, p0, n0 = _dyson_quantities(u, r, h, 1.0)
+        k0, p0, n0 = terms(u, r, h)
         sigma = 1.8
         rs = r / sigma
         us = sigma ** (3.0 / 2.0) * u / sigma  # sigma^(3/2) phi(sigma r) times r/sigma
-        k1, p1, n1 = _dyson_quantities(us, rs, h / sigma, 1.0)
+        k1, p1, n1 = terms(us, rs, h / sigma)
         assert n1 == pytest.approx(n0, rel=1e-12)
         assert k1 == pytest.approx(sigma**2 * k0, rel=1e-12)
         assert p1 == pytest.approx(sigma**0.75 * p0, rel=1e-12)
@@ -354,6 +369,39 @@ class TestDysonSolver:
     def test_grid_without_interior_node_rejected(self, grid_n):
         with pytest.raises(ValueError, match="grid_n must be at least 2"):
             dyson_variational_solve(grid_n=grid_n)
+
+    @pytest.mark.parametrize("grid_n", [3, 10, 777, 2000, 2200, 4000])
+    def test_equals_the_reference_route(self, grid_n):
+        # the reference route: solve_banded, and the weights, sqrt(r) and
+        # normalization recomputed at every evaluation
+        _assert_same_state(dyson_variational_solve(grid_n=grid_n),
+                           reference_dyson_solve(grid_n=grid_n))
+
+    def test_equals_the_reference_route_with_shifted_steps(self):
+        # the start of test_far_init_reaches_same_minimum, which rejects
+        # Newton steps and takes backward-Euler ones
+        r = np.linspace(0.0, 40.0, 801)
+        init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
+        _assert_same_state(
+            dyson_variational_solve(grid_n=1500, r_max=40.0, init=init),
+            reference_dyson_solve(grid_n=1500, r_max=40.0, init=init),
+        )
+
+    def test_warm_start_at_the_minimizer_takes_no_step(self):
+        # its projected gradient is rounding noise, which no step reduces by
+        # tol relative to itself
+        st = dyson_variational_solve(grid_n=2000)
+        warm = dyson_variational_solve(grid_n=2000, init=st.phi)
+        assert warm.iterations == 0
+        assert warm.energy == st.energy
+        assert warm.converged
+
+    @pytest.mark.parametrize("r_max", [40.0, 7.0])
+    def test_one_interior_node_takes_no_step(self, r_max):
+        # the normalized profile is fixed, so the start is the minimizer
+        st = dyson_variational_solve(grid_n=2, r_max=r_max)
+        assert st.iterations == 0
+        assert st.converged and st.energy < 0.0
 
     def test_custom_init_same_minimum(self, solved_state):
         r = np.linspace(0.0, 40.0, 801)

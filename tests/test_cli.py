@@ -194,6 +194,18 @@ class TestCliContract:
             '"subcommand":"dyson-solve"}\n'
         )
 
+    def test_dyson_grid_with_one_interior_node_fails_its_virial_check(self, capsys):
+        # one interior node fixes the normalized profile: the solve converges
+        # in 0 steps, and so coarse a profile misses the virial identity
+        assert main(["dyson-solve", "--grid-n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        artifact = json.loads(captured.out)
+        assert artifact["iterations"] == 0
+        assert artifact["converged"] is True
+        assert artifact["virial_residual"] > 1.0
+        assert artifact["pass"] is False
+
     def test_convergence_error_is_structured(self, monkeypatch, capsys):
         def fail(**kwargs):
             raise ConvergenceError("no convergence in 1 Newton steps")

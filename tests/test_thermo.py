@@ -105,6 +105,25 @@ class TestDomains:
         lattice = float(np.prod(steps)) * np.count_nonzero(mask)
         assert lattice == pytest.approx(simp.volume(), rel=0.02)
 
+    @pytest.mark.parametrize("make", [
+        lambda: BoxDomain(math.inf),
+        lambda: BoxDomain(math.nan),
+        lambda: BoxDomain(0.0),
+        lambda: SimplexDomain(corner_tetrahedron(), math.inf),
+        lambda: SimplexDomain(corner_tetrahedron(), math.nan),
+        lambda: SimplexDomain(corner_tetrahedron(), -1.0),
+        lambda: free_fermion_energy_density(-1.0, -1.0),
+        lambda: free_fermion_energy_density(-1.0, 0.0),
+        lambda: free_fermion_energy_density(-1.0, math.nan),
+    ], ids=["box_inf", "box_nan", "box_zero", "simplex_inf", "simplex_nan",
+            "simplex_negative", "density_negative_mass", "density_zero_mass",
+            "density_nan_mass"])
+    def test_scale_and_mass_must_be_positive_and_finite(self, make):
+        # an infinite or NaN scale once failed later in the raster with an
+        # OverflowError, and a mass m <= 0 gave a complex or -0.0 density
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make()
+
 class TestFreeFermionBox:
     def test_empty_filling(self):
         # ground mode above -mu: no contribution
