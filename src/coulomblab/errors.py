@@ -43,7 +43,3 @@ class TruncationError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """Iterative solver stopped before reaching its tolerance."""
-
-
-class BoundViolationError(RuntimeError):
-    """A quantity violated an inequality it is required to satisfy."""

@@ -18,7 +18,6 @@ import numpy as np
 
 from .liebthirring import lowest_cube_mode_energies
 from .numerics import gauss_panels
-from .report import EnergyReport
 
 __all__ = [
     "TwoBodyTrialState",
@@ -103,26 +102,17 @@ def relativistic_kinetic_expectation(mass: float, sigma: float) -> float:
 
 def relativistic_two_body_energy(
     t: TwoBodyTrialState, q: float, mass: float, ell: float = 1.0
-) -> EnergyReport:
+) -> float:
     """Energy of the dilated trial state under two relativistic particles.
 
-    kinetic terms <sqrt(-Lap + m^2) - m> by momentum quadrature, attraction
-    -q <1/|r1 - r2|>, both evaluated on the state scaled by ell.
+    Twice the kinetic term <sqrt(-Lap + m^2) - m>, by momentum quadrature,
+    plus the attraction -q <1/|r1 - r2|>, both on the state scaled by ell.
     """
     if q < 0 or mass < 0 or ell <= 0:
         raise ValueError("q, mass must be >= 0 and ell positive")
     scaled = t.scaled(ell)
-    sigma = scaled.momentum_std()
-    kinetic = relativistic_kinetic_expectation(mass, sigma)
-    attraction = -q * scaled.inverse_distance_expectation()
-    return EnergyReport(
-        name="relativistic_two_body_energy",
-        terms={
-            "kinetic_1": kinetic,
-            "kinetic_2": kinetic,
-            "attraction": attraction,
-        },
-    )
+    kinetic = relativistic_kinetic_expectation(mass, scaled.momentum_std())
+    return 2.0 * kinetic - q * scaled.inverse_distance_expectation()
 
 
 def critical_charge_upper_bound(family: list[TwoBodyTrialState]) -> float:

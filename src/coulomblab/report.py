@@ -1,6 +1,6 @@
 """Uniform result container and diff-stable serialization.
 
-The energy experiments return an :class:`EnergyReport`: a named additive
+The Onsager chain returns an :class:`EnergyReport`: a named additive
 energy breakdown plus the boolean checks the experiment performed.
 Serialization is canonical: dictionary keys sorted, floats printed with 17
 significant digits, so identical runs produce byte identical artifacts.

@@ -384,14 +384,16 @@ def test_criterion_11_operator_identities():
     order = math.log(residuals[0] / residuals[2]) / math.log(2.0)
     order_ok = order >= 2.0
 
-    diam_ok = True
+    diam_ok = sobolev_ok = True
+    sharp = op.sharp_sobolev_constant()
     for _ in range(100):
         f = op.random_band_limited_field(rng, 32, box, components=1, k_shells=2,
                                          windowed=True)
         a = op.random_band_limited_field(rng, 32, box, components=3, k_shells=2,
                                          real=True)
-        lhs, mid, sob = op.diamagnetic_sobolev_check(f, a, 0.9)
+        lhs, mid, sob = op.diamagnetic_sobolev_terms(f, a, 0.9)
         diam_ok = diam_ok and lhs >= mid - 1e-9 * lhs
+        sobolev_ok = sobolev_ok and mid >= 0.995 * sharp * sob
 
     f = op.random_band_limited_field(rng, 32, box, components=1, k_shells=2)
     a = op.random_band_limited_field(rng, 32, box, components=3, k_shells=2,
@@ -413,12 +415,13 @@ def test_criterion_11_operator_identities():
     gauge_dev = abs(gauged - base) / base
     gauge_ok = gauge_dev < 1e-10
 
-    ok = lich_ok and order_ok and diam_ok and gauge_ok
+    ok = lich_ok and order_ok and diam_ok and sobolev_ok and gauge_ok
     assert report(
         11,
         ok,
         f"lichnerowicz rel={res.relative:.2e}, convergence order={order:.1f}, "
-        f"diamagnetic 100/100={diam_ok}, gauge dev={gauge_dev:.2e}",
+        f"diamagnetic 100/100={diam_ok}, Sobolev 100/100={sobolev_ok}, "
+        f"gauge dev={gauge_dev:.2e}",
     )
 
 
@@ -428,8 +431,8 @@ def test_criterion_12_relativistic_collapse():
     worst = 0.0
     for t in (state, corr):
         for ell in (0.25, 0.8, 2.0):
-            lhs = ell * ins.relativistic_two_body_energy(t, 1.2, 1.0, ell=ell).total
-            rhs = ins.relativistic_two_body_energy(t, 1.2, ell, ell=1.0).total
+            lhs = ell * ins.relativistic_two_body_energy(t, 1.2, 1.0, ell=ell)
+            rhs = ins.relativistic_two_body_energy(t, 1.2, ell, ell=1.0)
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     scaling_ok = worst < 1e-8
 

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from coulomblab import bogoliubov, operators, thermo
-from coulomblab.cli import DEFAULT_SEED, THERMO_LIMIT_SCALES, build_parser, main
+from coulomblab.cli import (
+    DEFAULT_SEED,
+    DIAMAGNETIC_TOL,
+    SOBOLEV_GRID_MARGIN,
+    THERMO_LIMIT_SCALES,
+    build_parser,
+    main,
+)
 from coulomblab.errors import ConvergenceError
 from coulomblab.report import EnergyReport, dumps_canonical, format_float, rows_to_csv
 
@@ -105,19 +112,22 @@ class TestCliContract:
         cfg.write_text('{"grids": {}}')
         assert main(["legendre", "--config", str(cfg)]) == 2
 
-    def test_legendre_passes(self, tmp_path):
+    def test_legendre_passes(self, tmp_path, capsys):
         out = tmp_path / "legendre.json"
         assert main(["legendre", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         data = json.loads(out.read_text())
         assert data["pass"] is True
 
-    def test_i0_reports_the_factor_two_defect(self, tmp_path):
+    def test_i0_reports_the_factor_two_defect(self, tmp_path, capsys):
         # the stated closed form sits an exact factor 2 above the integral,
         # so the identity check fails at its default tolerance by design
         out = tmp_path / "i0.json"
         assert main(["i0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
         data = json.loads(out.read_text())
         assert data["rel_diff"] == pytest.approx(0.5, abs=1e-9)
+        assert data["pass"] is False
 
     def test_byte_identical_artifacts(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -206,6 +216,33 @@ class TestCliContract:
         assert artifact["virial_residual"] > 1.0
         assert artifact["pass"] is False
 
+    def test_pipeline_with_one_interior_node_fails_its_virial_check(self, capsys):
+        # the pipeline rescales the n = 2 profile exactly, so its spread is
+        # at rounding, but the profile misses the virial identity
+        assert main(["dyson-pipeline", "--grid-n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        artifact = json.loads(captured.out)
+        assert artifact["max_relative_spread"] < 1e-10
+        assert artifact["virial_residual"] > 1.0
+        assert artifact["pass"] is False
+
+    @pytest.mark.parametrize("terms", [
+        (1.0, 1.0 + 1e-9, 0.1),  # lhs < mid: the diamagnetic step fails
+        (10.0, 1.0, 1.0),  # mid < 0.995 S sob: the Sobolev step fails
+    ])
+    def test_violated_sobolev_chain_exits_1(self, terms, monkeypatch, capsys):
+        monkeypatch.setattr(operators, "diamagnetic_sobolev_terms",
+                            lambda f, a, q: terms)
+        assert main(["sobolev", "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        artifact = json.loads(captured.out)
+        assert artifact["pass"] is False
+        assert artifact["worst_gap"] == terms[0] - terms[1]
+        assert artifact["sobolev_ratio"] == terms[1] / (
+            operators.sharp_sobolev_constant() * terms[2])
+
     def test_convergence_error_is_structured(self, monkeypatch, capsys):
         def fail(**kwargs):
             raise ConvergenceError("no convergence in 1 Newton steps")
@@ -288,8 +325,10 @@ class TestCliContract:
     def test_sobolev_bytes_across_blas_threads(self):
         art = json.loads(self._stdout_across_blas_threads("sobolev"))
         assert art["constant"] == pytest.approx(
-            0.995 * 3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0), rel=1e-15
+            3.0 * (math.pi**2 / 4.0) ** (2.0 / 3.0), rel=1e-15
         )
+        assert art["worst_gap"] >= -DIAMAGNETIC_TOL
+        assert art["sobolev_ratio"] >= SOBOLEV_GRID_MARGIN
         assert art["pass"] is True
 
     def test_i0_bytes_and_status_across_blas_threads(self):

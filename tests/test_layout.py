@@ -55,6 +55,26 @@ def test_all_names_exist():
     assert not missing, missing
 
 
+def test_every_error_class_is_raised_and_structured_by_the_cli():
+    # an error class without a raise site is dead; one the CLI does not catch
+    # would leave it as a traceback instead of exit status 3
+    from coulomblab import cli, errors
+
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.attr if isinstance(func, ast.Attribute) else
+                           getattr(func, "id", None))
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert classes
+    assert [name for name in classes if name not in raised] == []
+    assert [name for name in classes
+            if not issubclass(getattr(errors, name), cli._LIBRARY_ERRORS)] == []
+
+
 def _imported_modules():
     """(file name, owner, module) for every absolute import in the package.
 

@@ -4,23 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coulomblab.errors import (
-    BoundViolationError,
-    GridMismatchError,
-    ResolutionError,
-    SupportError,
-)
+from coulomblab.errors import GridMismatchError, ResolutionError, SupportError
 from coulomblab.operators import (
     PeriodicField,
     covariant_derivative,
-    diamagnetic_sobolev_check,
+    diamagnetic_sobolev_terms,
     envelope_window,
     grid_integral,
     lichnerowicz_check,
     magnetic_kinetic_quadratic_form,
     random_band_limited_field,
     schrodinger_bound_constant,
-    sobolev_test_constant,
+    sharp_sobolev_constant,
     stability_first_kind_demo,
     wavevectors,
 )
@@ -57,7 +52,7 @@ def schroedinger_lower_bound_eval(f, a, v1, v2, c=None):
     The oracle for ``schrodinger_bound_constant``, the constant C behind the
     first-kind bound.  Returns (quad_form, bound) with
     bound = -C (int V1^(5/2) + sup V2) ||f||^2 on the grid of f, and raises
-    BoundViolationError if the form dips below the bound.
+    AssertionError if the form dips below the bound.
     """
     if c is None:
         c = schrodinger_bound_constant()
@@ -69,8 +64,22 @@ def schroedinger_lower_bound_eval(f, a, v1, v2, c=None):
     sup_v2 = float(v2.data[0].real.max())
     bound = -c * (int_v1 + sup_v2) * norm2
     if quad_form < bound - 1e-9 * (abs(bound) + 1.0):
-        raise BoundViolationError(f"form {quad_form} below bound {bound}")
+        raise AssertionError(f"form {quad_form} below bound {bound}")
     return quad_form, bound
+
+
+def spectral_gradient_mid(f):
+    """int |grad |f||^2 by spectral differentiation of the regularized |f|.
+
+    The oracle for the Parseval sum of ``diamagnetic_sobolev_terms``: it
+    takes |f| with the same regularization sqrt(|f|^2 + eps^2),
+    eps = 1e-10 max|f|, differentiates it along each axis by one forward and
+    three inverse FFTs, and integrates the squared gradient on the grid.
+    """
+    eps = 1e-10 * float(np.abs(f.data).max())
+    absf = PeriodicField(f.box_len, np.sqrt(np.abs(f.data[:1]) ** 2 + eps**2))
+    grad = covariant_derivative(absf, None, 0.0)
+    return sum(grid_integral(np.abs(g) ** 2, f) for g in grad)
 
 
 class TestKineticForm:
@@ -116,8 +125,9 @@ class TestDiamagnetic:
     def test_real_positive_no_field_equality(self):
         n = 32
         f = PeriodicField(BOX, envelope_window(n)[None].astype(complex))
-        lhs, mid, _ = diamagnetic_sobolev_check(f, None, 0.0)
+        lhs, mid, sob = diamagnetic_sobolev_terms(f, None, 0.0)
         assert lhs == pytest.approx(mid, rel=1e-10)
+        assert mid >= 0.995 * sharp_sobolev_constant() * sob * (1.0 - 1e-9)
 
     def test_aubin_talenti_profile_recorded(self):
         # truncated optimizer profile: the grid ratio is recorded against an
@@ -135,7 +145,7 @@ class TestDiamagnetic:
         x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
         u = profile(x**2 + y**2 + z**2)
         f = PeriodicField(box, u[None].astype(complex))
-        lhs, mid, sob = diamagnetic_sobolev_check(f, None, 0.0)
+        lhs, mid, sob = diamagnetic_sobolev_terms(f, None, 0.0)
 
         rr = np.linspace(1e-6, box / 2 * math.sqrt(3.0), 200001)
         vals = profile(rr**2)
@@ -143,15 +153,18 @@ class TestDiamagnetic:
         mid_oracle = 4.0 * math.pi * np.trapezoid(dv**2 * rr**2, rr)
         sob_oracle = (4.0 * math.pi * np.trapezoid(vals**6 * rr**2, rr)) ** (1.0 / 3.0)
         assert mid / sob == pytest.approx(mid_oracle / sob_oracle, rel=2e-2)
-        sharp = sobolev_test_constant() / 0.995
+        sharp = sharp_sobolev_constant()
         assert sharp * 0.95 < mid / sob < sharp * 1.5
+        # the near-extremal field: both steps of the chain at their margins
+        assert lhs >= mid - 1e-9 * lhs
+        assert mid >= 0.995 * sharp * sob * (1.0 - 1e-9)
 
     def test_sobolev_constant_matches_radial_quadrature(self):
         # oracle: int |grad u|^2 and int u^6 of u = (1 + r^2)^(-1/2) by quad
         num, _ = quad(lambda r: r**4 * (1.0 + r * r) ** -3, 0.0, np.inf)
         den, _ = quad(lambda r: r**2 * (1.0 + r * r) ** -3, 0.0, np.inf)
         sharp = (4.0 * math.pi * num) / (4.0 * math.pi * den) ** (1.0 / 3.0)
-        assert sobolev_test_constant() == pytest.approx(0.995 * sharp, rel=1e-12)
+        assert sharp_sobolev_constant() == pytest.approx(sharp, rel=1e-12)
 
     def test_randomized_ordering_sweep(self):
         rng = np.random.default_rng(SEED)
@@ -163,15 +176,27 @@ class TestDiamagnetic:
             a = random_band_limited_field(
                 rng, n, BOX, components=3, k_shells=2, real=True
             )
-            lhs, mid, sob = diamagnetic_sobolev_check(f, a, 0.9)
+            lhs, mid, sob = diamagnetic_sobolev_terms(f, a, 0.9)
             assert lhs >= mid - 1e-9 * lhs
-            assert mid >= sobolev_test_constant() * sob * (1.0 - 1e-9)
+            assert mid >= 0.995 * sharp_sobolev_constant() * sob * (1.0 - 1e-9)
+
+    def test_parseval_mid_equals_the_spectral_gradient(self):
+        rng = np.random.default_rng(SEED)
+        worst = 0.0
+        for _ in range(100):
+            f = random_band_limited_field(
+                rng, 32, BOX, components=1, k_shells=2, windowed=True
+            )
+            _, mid, _ = diamagnetic_sobolev_terms(f, None, 0.0)
+            oracle = spectral_gradient_mid(f)
+            worst = max(worst, abs(mid - oracle) / oracle)
+        assert worst <= 1e-14
 
     def test_boundary_contamination_rejected(self):
         n = 16
         f = PeriodicField(BOX, np.ones((1, n, n, n), dtype=complex))
         with pytest.raises(SupportError):
-            diamagnetic_sobolev_check(f, None, 0.0)
+            diamagnetic_sobolev_terms(f, None, 0.0)
 
 
 class TestCoulombSplit:
@@ -256,7 +281,7 @@ class TestSchroedingerBound:
         f, a, v1, v2 = self.build_fields()
         strong1 = PeriodicField(BOX, 80.0 * v1.data)
         strong2 = PeriodicField(BOX, 80.0 * v2.data)
-        with pytest.raises(BoundViolationError):
+        with pytest.raises(AssertionError):
             schroedinger_lower_bound_eval(f, a, strong1, strong2, c=1e-12)
 
 
