@@ -32,9 +32,16 @@ __all__ = [
     "semiclassical_p_integral",
     "dyson_variational_solve",
     "dyson_pipeline",
+    "DYSON_R_MAX",
+    "DYSON_TOL",
 ]
 
 LAMBDA_MAX = 1.0 - 1e-6
+
+# the Dyson solve's grid runs over [0, DYSON_R_MAX], and it stops once its
+# projected gradient is DYSON_TOL times that of the first iterate
+DYSON_R_MAX = 40.0
+DYSON_TOL = 1e-7
 
 
 @dataclass
@@ -125,52 +132,22 @@ def _mode_moments(v: np.ndarray, shift: float) -> np.ndarray:
 
 @dataclass
 class FockMomentReport:
-    """Truncated-Fock moments next to their closed forms.
+    """Truncated-Fock moments and their largest deviation from the closed forms.
 
     Mode index 0 is the condensate; pair modes follow.  ``centered_*`` use
-    b = a - sqrt(N) delta_{mode,0}; the closed forms are gamma for b*b,
-    -sqrt(gamma(gamma+1)) for b*b*, and the quasi-free 4-point expansion
-    sqrt(gamma(gamma+1))_ab^2 + gamma_ab^2 + gamma_aa gamma_bb.
+    b = a - sqrt(N) delta_{mode,0}.  ``max_error`` is the largest deviation
+    of the seven moments from the closed forms of ``fock_oracle``.
     """
 
     norm_deficit: float
     centered_two_point: np.ndarray
     centered_pairing: np.ndarray
     centered_four_point: np.ndarray
-    gamma_closed: np.ndarray
-    pairing_closed: np.ndarray
-    four_point_closed: np.ndarray
     condensate_number_mean: float
     condensate_number_variance: float
     total_number_mean: float
     total_number_variance: float
-    expected_total_mean: float
-    expected_total_variance: float
-    n_condensate: float
-
-    @property
-    def max_two_point_error(self) -> float:
-        return float(np.abs(self.centered_two_point - self.gamma_closed).max())
-
-    @property
-    def max_pairing_error(self) -> float:
-        return float(np.abs(self.centered_pairing - self.pairing_closed).max())
-
-    @property
-    def max_four_point_error(self) -> float:
-        return float(np.abs(self.centered_four_point - self.four_point_closed).max())
-
-    @property
-    def max_error(self) -> float:
-        return max(
-            self.max_two_point_error,
-            self.max_pairing_error,
-            self.max_four_point_error,
-            abs(self.condensate_number_mean - self.n_condensate),
-            abs(self.condensate_number_variance - self.n_condensate),
-            abs(self.total_number_mean - self.expected_total_mean),
-            abs(self.total_number_variance - self.expected_total_variance),
-        )
+    max_error: float
 
 
 def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport:
@@ -178,9 +155,13 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
 
     The state is the product coherent(condensate) x squeezed(pairs), so each
     moment is a product of one-mode expectations, taken with explicitly
-    truncated ladder operators on one vector per mode.  Every moment is
-    reported next to its closed form.  Raises TruncationError when the
-    truncated state has a norm deficit above 1e-8.
+    truncated ladder operators on one vector per mode.  The closed forms are
+    gamma = lambda^2 / (1 - lambda^2) for b*b, -sqrt(gamma(gamma+1)) for
+    b*b*, the quasi-free 4-point expansion
+    sqrt(gamma(gamma+1))_ab^2 + gamma_ab^2 + gamma_aa gamma_bb, N for the
+    condensate number's mean and variance, and N + sum gamma and
+    N + sum 2 gamma(gamma+1) for the total number's.  Raises TruncationError
+    when the truncated state has a norm deficit above 1e-8.
     """
     if truncation < 30:
         raise ValueError("truncation must be at least 30")
@@ -207,32 +188,33 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     four_point = np.outer(b_dag_b, b_dag_b)
     np.fill_diagonal(four_point, four)
     n_variance = n_second - n_mean**2
+    moments = {
+        "centered_two_point": two_point,
+        "centered_pairing": pairing,
+        "centered_four_point": four_point,
+        "condensate_number_mean": float(n_mean[0]),
+        "condensate_number_variance": float(n_variance[0]),
+        "total_number_mean": float(n_mean.sum()),
+        "total_number_variance": float(n_variance.sum()),
+    }
 
     lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
     gam = lam**2 / (1.0 - lam**2)
     gamma_closed = np.diag(gam)
     pairing_closed = -np.diag(np.sqrt(gam * (gam + 1.0)))
-    four_closed = (
-        pairing_closed**2 + gamma_closed**2 + np.outer(gam, gam)
-    )
-
     big_n = s.mean_condensate_number
-    return FockMomentReport(
-        norm_deficit=deficit,
-        centered_two_point=two_point,
-        centered_pairing=pairing,
-        centered_four_point=four_point,
-        gamma_closed=gamma_closed,
-        pairing_closed=pairing_closed,
-        four_point_closed=four_closed,
-        condensate_number_mean=float(n_mean[0]),
-        condensate_number_variance=float(n_variance[0]),
-        total_number_mean=float(n_mean.sum()),
-        total_number_variance=float(n_variance.sum()),
-        expected_total_mean=big_n + float(gam.sum()),
-        expected_total_variance=big_n + float((2.0 * gam * (gam + 1.0)).sum()),
-        n_condensate=big_n,
+    closed_forms = (
+        gamma_closed,
+        pairing_closed,
+        pairing_closed**2 + gamma_closed**2 + np.outer(gam, gam),
+        big_n,
+        big_n,
+        big_n + float(gam.sum()),
+        big_n + float((2.0 * gam * (gam + 1.0)).sum()),
     )
+    max_error = max(float(np.abs(got - want).max())
+                    for got, want in zip(moments.values(), closed_forms))
+    return FockMomentReport(norm_deficit=deficit, **moments, max_error=max_error)
 
 
 def _dispersion_e_min(tau, g):
@@ -411,16 +393,14 @@ _ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 def dyson_variational_solve(
     grid_n: int = 2000,
-    r_max: float = 40.0,
-    i0: float | None = None,
     init: RadialGridFunction | None = None,
-    tol: float = 1e-7,
     max_iter: int = 100,
 ) -> VariationalState:
     """Newton's method on the KKT system of the condensate-profile functional.
 
-    Works on u = r Phi over a uniform grid with u = 0 at both ends.  On the
-    interior nodes the discrete energy K/2 - I0 P has gradient
+    Works on u = r Phi over a uniform grid of grid_n cells on
+    [0, DYSON_R_MAX] with u = 0 at both ends, at I0 = ``working_i0()``.  On
+    the interior nodes the discrete energy K/2 - I0 P has gradient
     g = A u - f(u), with A = (4 pi/h) tridiag(-1, 2, -1) and
     f = I0 4 pi w (5/2) u^(3/2)/sqrt(r); the sphere 4 pi sum w u^2 = 1 has
     normal d = 8 pi w u.  Each step takes the multiplier mu = (g.u)/(d.u),
@@ -441,23 +421,28 @@ def dyson_variational_solve(
     and the Newton step can point uphill; near it, full Newton steps are
     taken and converge quadratically.  Components of the projected gradient
     that push a zero entry below zero are dropped, as the bound u >= 0 is
-    active there.  Stops when its norm falls below ``tol`` times its value at
-    the first iterate and raises ConvergenceError when ``max_iter`` steps do
-    not get there.  A first iterate that is already a minimizer to rounding,
-    ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||, takes no
-    step and reports a relative gradient of 1.
+    active there.  Stops when its norm falls below DYSON_TOL times its value
+    at the first iterate and raises ConvergenceError when ``max_iter`` steps
+    do not get there.  A first iterate that is already a minimizer to
+    rounding, ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||,
+    takes no step and reports a relative gradient of 1.
 
     The stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
     virial identity K = (3/4) I0 P at the minimizer, reported as a residual.
+
+    The first iterate is ``init`` (clipped to Phi >= 0 and normalized), or a
+    Gaussian of width 3.  ``init`` and ``max_iter`` stay settable because
+    they reach two paths that no default run takes: a far start rejects
+    Newton steps and takes shifted ones, and ``max_iter=1`` raises
+    ConvergenceError.
     """
     from scipy.linalg import get_lapack_funcs
 
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    if i0 is None:
-        i0 = working_i0()
-    r = np.linspace(0.0, r_max, grid_n + 1)
+    i0 = working_i0()
+    r = np.linspace(0.0, DYSON_R_MAX, grid_n + 1)
     h = r[1] - r[0]
     w, sqrt_r = _dyson_grid(r, h)
     if init is not None:
@@ -496,7 +481,7 @@ def dyson_variational_solve(
              + abs(mu) * mass * ui)
     at_floor = pg_norm <= _ROUNDING_FLOOR * float(np.linalg.norm(terms))
     iterations = 0
-    while not at_floor and pg_norm >= tol * pg_ref and iterations < max_iter:
+    while not at_floor and pg_norm >= DYSON_TOL * pg_ref and iterations < max_iter:
         iterations += 1
         ui = u[1:-1]
         rhs = np.empty((grid_n - 1, 2), order="F")
@@ -521,10 +506,10 @@ def dyson_variational_solve(
         f_res, pg_norm, mu, energy, kinetic, potential = trial_state
 
     relative_gradient = pg_norm / pg_ref
-    if relative_gradient >= tol and not at_floor:
+    if relative_gradient >= DYSON_TOL and not at_floor:
         raise ConvergenceError(
             f"no convergence in {iterations} Newton steps, relative projected "
-            f"gradient {relative_gradient:.3e} >= tol {tol:.1e}"
+            f"gradient {relative_gradient:.3e} >= tol {DYSON_TOL:.1e}"
         )
     if energy >= 0:
         raise ConvergenceError("solve ended at a non-negative energy")
@@ -544,7 +529,7 @@ def dyson_variational_solve(
         converged=True,
         relative_gradient=relative_gradient,
         grid_n=grid_n,
-        r_max=r_max,
+        r_max=DYSON_R_MAX,
         i0=i0,
     )
 
@@ -586,9 +571,11 @@ class DysonPipelineReport:
 def dyson_pipeline(
     n_list: tuple[float, ...] = (10.0, 1e3, 1e6),
     state: VariationalState | None = None,
-    **solve_kwargs,
+    grid_n: int = 2000,
 ) -> DysonPipelineReport:
     """Rescale the solved profile to each N and evaluate the upper bound.
+
+    The profile is ``state``'s, or that of a fresh solve at ``grid_n``.
 
     xi0(r) = N^(3/10) Phi(N^(1/5) r) on the contracted grid; the discrete
     kinetic and potential sums then rescale exactly, so
@@ -596,7 +583,7 @@ def dyson_pipeline(
     N^(7/5) reproduces the variational minimum identically.
     """
     if state is None:
-        state = dyson_variational_solve(**solve_kwargs)
+        state = dyson_variational_solve(grid_n)
     r = state.phi.nodes
     h = r[1] - r[0]
     u = r * state.phi.values

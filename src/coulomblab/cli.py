@@ -234,7 +234,7 @@ def _run_rel_collapse(args: argparse.Namespace) -> dict:
 def _run_fermi_collapse(args: argparse.Namespace) -> dict:
     # a ratio of 2^0.8 between neighbours keeps the rounded sizes distinct
     ns = np.round(np.geomspace(8, 32768, 16)).astype(int)
-    rep = instability.attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
+    rep = instability.attractive_collapse_experiment(ns, radius=1.0, c=1.0)
     ok = 1.62 <= rep.fitted_exponent <= 1.72 and rep.onset_n is not None
     return {**rep.to_dict(), "pass": ok}
 

@@ -123,14 +123,16 @@ def nearest_opposite_distances(c: ChargeConfiguration) -> np.ndarray:
 
     Brute force O(N^2) scan; at desk scale exactness beats indexing.
     """
-    return _nearest_opposite(c.species, c.pair_distances())
+    return _nearest_opposite(c.charges, c.pair_distances())
 
 
-def _nearest_opposite(species: tuple[str, ...], d: np.ndarray) -> np.ndarray:
-    labels = np.asarray(species)
-    if not (np.any(labels == "plus") and np.any(labels == "minus")):
+def _nearest_opposite(charges: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # a charge is of species "plus" exactly when it is positive, as
+    # ChargeConfiguration checks
+    plus = charges > 0
+    if plus.all() or not plus.any():
         raise NoOppositeSpeciesError("both species required for delta_j")
-    opp = np.not_equal.outer(labels, labels)
+    opp = np.not_equal.outer(plus, plus)
     return np.where(opp, d, np.inf).min(axis=1)
 
 
@@ -228,16 +230,16 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
           interactions plus half self energies; nonnegative because the
           Coulomb kernel is of positive type.
     (ii)  self_energy_correction = -(12/5) sum_j Q_j^2 / delta_j.
-    (iii) final_bound = -(12/5) sum_j Q_j^2 / delta_j.
+    (iii) final_bound, the same number as (ii).
 
-    The report asserts exact >= (i) + (ii) >= (iii).  Step (i)+(ii) >= exact
-    would use only half the self energy; the full factor keeps (ii) aligned
-    with the positive-type step, which also admits the stronger correction
-    -(6/5) sum Q_j^2/delta_j recorded in ``extras``.
+    The report asserts exact >= (i) + (ii) >= (iii).  The full self energy
+    in (ii) keeps it aligned with the positive-type step, which also admits
+    the stronger bound -(6/5) sum_j Q_j^2 / delta_j, recorded in ``extras``
+    and asserted too.  It is half of (iii), so exact >= (iii) follows.
     """
     n = len(c)
     d = c.pair_distances()
-    deltas = _nearest_opposite(c.species, d)
+    deltas = _nearest_opposite(c.charges, d)
     i, j = np.triu_indices(n, k=1)
     qq = c.charges[i] * c.charges[j]
     dist = d[i, j]
@@ -253,20 +255,19 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
     q2_over_delta = float(np.sum(c.charges**2 / deltas))
     half_self = 0.5 * UNIT_BALL_SELF_ENERGY * q2_over_delta
     smeared_interaction = pair_sum + half_self
-    self_correction = -UNIT_BALL_SELF_ENERGY * q2_over_delta
     final_bound = -UNIT_BALL_SELF_ENERGY * q2_over_delta
     stronger_bound = -(0.5 * UNIT_BALL_SELF_ENERGY) * q2_over_delta
 
     scale = abs(exact) + abs(final_bound) + 1e-300
     slack = 1e-10 * scale
-    chain_first = exact >= smeared_interaction + self_correction - slack
-    chain_second = smeared_interaction + self_correction >= final_bound - slack
+    chain_first = exact >= smeared_interaction + final_bound - slack
+    chain_second = smeared_interaction + final_bound >= final_bound - slack
 
     return EnergyReport(
         name="onsager_lower_bound",
         terms={
             "smeared_interaction": smeared_interaction,
-            "self_energy_correction": self_correction,
+            "self_energy_correction": final_bound,
         },
         extras={
             "exact": exact,
@@ -276,7 +277,6 @@ def onsager_lower_bound(c: ChargeConfiguration) -> EnergyReport:
         checks={
             "exact_ge_smeared_minus_self": bool(chain_first),
             "smeared_chain_ge_final": bool(chain_second),
-            "exact_ge_final": bool(exact >= final_bound - slack),
             "exact_ge_stronger_bound": bool(exact >= stronger_bound - slack),
         },
     )

@@ -29,7 +29,7 @@ from .numerics import gauss_panels
 __all__ = [
     "Simplex",
     "regular_tetrahedron",
-    "SimplexTester",
+    "barycentric_forms",
     "overlap_kernel",
     "radial_kernel",
     "gauge_moments",
@@ -63,27 +63,28 @@ class Simplex:
         return float(np.sqrt((d**2).sum(-1)).max())
 
 
-def regular_tetrahedron(edge: float = 1.0) -> Simplex:
-    """Regular tetrahedron centered at its centroid.
+def regular_tetrahedron() -> Simplex:
+    """Regular tetrahedron of unit edge centered at its centroid.
 
     The default reference shape of the isometry averages.
     """
-    s = edge / (2.0 * math.sqrt(2.0))
+    s = 1.0 / (2.0 * math.sqrt(2.0))
     verts = s * np.array(
         [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
     )
     return Simplex(verts)
 
 
-class SimplexTester:
-    """The linear parts of the barycentric coordinates of l simplex."""
+def barycentric_forms(simplex: Simplex, ell: float) -> np.ndarray:
+    """The linear parts a_k of the barycentric coordinates of l simplex.
 
-    def __init__(self, simplex: Simplex, ell: float):
-        if ell <= 0:
-            raise ValueError("ell must be positive")
-        inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
-        # linear parts a_k . v of the barycentric coordinates of vertices 1, 2, 3, 0
-        self.forms = np.vstack([inv_edges, -inv_edges.sum(axis=0)])
+    Row k holds a_k, with a_k . v the linear part of the coordinate of
+    vertex 1, 2, 3, 0 in turn.
+    """
+    if ell <= 0:
+        raise ValueError("ell must be positive")
+    inv_edges = np.linalg.inv(ell * simplex.edge_matrix)
+    return np.vstack([inv_edges, -inv_edges.sum(axis=0)])
 
 
 def _face_triangles(simplex: Simplex, ell: float) -> tuple[np.ndarray, ...]:
@@ -97,7 +98,7 @@ def _face_triangles(simplex: Simplex, ell: float) -> tuple[np.ndarray, ...]:
     triangle: the face's distance h, the distance d from f to the line pq,
     the angles of p and q about f from the line's nearest point, the sign.
     """
-    forms = SimplexTester(simplex, ell).forms
+    forms = barycentric_forms(simplex, ell)
     verts = ell * simplex.vertices[[1, 2, 3, 0]]  # in the order of the forms
     rows = []
     for size in (1, 2, 3):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liebthirring import lowest_cube_mode_energies
+from .liebthirring import dirichlet_cube_kinetic_sum
 from .numerics import gauss_panels
 
 __all__ = [
@@ -138,11 +138,10 @@ class CollapseReport:
     rows: list[dict]
     fitted_exponent: float
     onset_n: int | None
-    dimension: int
 
     def to_dict(self) -> dict:
         return {
-            "dimension": self.dimension,
+            "dimension": 3,  # the experiment fills cube modes in three dimensions
             "fitted_exponent": self.fitted_exponent,
             "onset_n": self.onset_n,
             "rows": self.rows,
@@ -153,27 +152,24 @@ def attractive_collapse_experiment(
     n_list: np.ndarray,
     radius: float,
     c: float,
-    ndim: int = 3,
 ) -> CollapseReport:
     """Slater-determinant upper bound for pair potentials below -c on a ball.
 
     Fills the lowest Dirichlet modes of the cube inscribed in the radius-R
-    ball (side 2R/sqrt(n)); the potential enters only through the constant c
+    ball (side 2R/sqrt(3)); the potential enters only through the constant c
     since every pair sits inside the ball.  Reports per-particle estimates
     kinetic/N - (N-1) c / 2, the log-log fitted kinetic exponent (target
-    (n+2)/n), and the first N past which the estimate is negative and
+    5/3), and the first N past which the estimate is negative and
     decreasing.
     """
-    if ndim not in (1, 2, 3):
-        raise ValueError("supported dimensions are 1, 2 and 3")
     if radius <= 0 or c <= 0:
         raise ValueError("radius and c must be positive")
 
-    side = 2.0 * radius / math.sqrt(ndim)
+    side = 2.0 * radius / math.sqrt(3)
     n_arr = np.asarray(n_list, dtype=int)
     rows = []
     for n in n_arr:
-        kinetic = float(lowest_cube_mode_energies(int(n), side, 1.0, ndim).sum())
+        kinetic = dirichlet_cube_kinetic_sum(int(n), side, 1.0)
         estimate = kinetic / n - 0.5 * (n - 1) * c
         rows.append({"N": int(n), "kinetic": kinetic, "estimate": estimate})
 
@@ -203,5 +199,4 @@ def attractive_collapse_experiment(
         rows=rows,
         fitted_exponent=slope,
         onset_n=onset,
-        dimension=ndim,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "box_kinetic_lower_bound",
     "stability_constant",
     "dirichlet_cube_kinetic_sum",
-    "lowest_cube_mode_energies",
     "cube_mode_energies_below",
     "ladder_levels_below",
 ]
@@ -137,67 +136,40 @@ def stability_constant(s: SpeciesSpec) -> float:
     return _species_minimum(c1p, c2m, s.mu) + _species_minimum(c1m, c2p, s.mu)
 
 
-def lowest_cube_mode_energies(
-    count: int, side: float, mass: float, ndim: int = 3
-) -> np.ndarray:
-    """The `count` lowest Dirichlet eigenvalues pi^2 |n|^2 / (2 m side^2).
-
-    Modes n run over positive integer vectors.  The cap grows until at least
-    `count` levels lie below (cap+1)^2 + (ndim-1), the least |n|^2 of any
-    mode with an index above the cap, so those levels are the lowest.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    scale = math.pi**2 / (2.0 * mass * side**2)
-    cap = max(2, int(math.ceil((3.0 * count) ** (1.0 / ndim))) + 1)
-    while True:
-        levels = cube_mode_energies_below(
-            scale * ((cap + 1) ** 2 + ndim - 1), side, mass, ndim)
-        if levels.size >= count:
-            return levels[:count]
-        cap = int(cap * 1.5) + 1
-
-
 def ladder_levels_below(
-    ladder: np.ndarray, scale: float, threshold: float, ndim: int = 3,
-    strict: bool = False,
+    ladder: np.ndarray, scale: float, threshold: float, *, strict: bool = False
 ) -> np.ndarray:
-    """Sorted levels scale (l_a1 + ... + l_a_ndim) below `threshold`.
+    """Sorted levels scale (l_a + l_b + l_c) below `threshold`.
 
-    The l_a are the entries of a positive 1-D ladder; the index tuples
-    (a1, ..., a_ndim) run over all of them, or with `strict` over the
-    strictly increasing ones only (the antisymmetric sector).  Each sum is
-    scaled once, so an integer ladder sums exactly.  An entry with
-    scale l_a >= threshold is dropped before the enumeration: every sum that
-    holds it is at least l_a, in floating point too.  This is the package's
-    one enumeration of separable Dirichlet levels.
+    The l_a are the entries of a positive 1-D ladder; the index triples
+    (a, b, c) run over all of them, or with `strict` over the strictly
+    increasing ones only (the antisymmetric sector).  Each sum is scaled
+    once, so an integer ladder sums exactly.  An entry with scale
+    l_a >= threshold is dropped before the enumeration: every sum that holds
+    it is at least l_a, in floating point too.  This is the package's one
+    enumeration of separable Dirichlet levels.
     """
     ladder = np.asarray(ladder)
     ladder = ladder[scale * ladder < threshold]
     if ladder.size == 0:
         return np.empty(0)
-    # axis k carries the index a_(k+1); adding the axes left to right rounds
-    # every tuple's sum as (l_a1 + l_a2) + l_a3
-    axes = [ladder.reshape((-1,) + (1,) * k) for k in range(ndim - 1, -1, -1)]
-    sums = sum(axes)
-    if strict and ndim > 1:
-        index = [np.arange(ladder.size).reshape(a.shape) for a in axes]
-        keep = index[0] < index[1]
-        for lo, hi in zip(index[1:], index[2:]):
-            keep = keep & (lo < hi)
-        sums = sums[keep]
+    # entry (a, b, c) is rounded as (l_a + l_b) + l_c
+    sums = ladder[:, None, None] + ladder[:, None] + ladder
+    if strict:
+        index = np.arange(ladder.size)
+        sums = sums[(index[:, None, None] < index[:, None]) & (index[:, None] < index)]
     levels = scale * sums.reshape(-1)
     return np.sort(levels[levels < threshold])
 
 
 def cube_mode_energies_below(
-    threshold: float, side: float, mass: float, ndim: int = 3, strict: bool = False
+    threshold: float, side: float, mass: float, *, strict: bool = False
 ) -> np.ndarray:
     """Sorted Dirichlet cube mode energies pi^2 |n|^2 / (2 m side^2) below `threshold`.
 
-    Modes n run over all positive integer ndim-tuples, or with `strict` over
-    the strictly increasing ones only (the antisymmetric sector, whose
-    levels are the spectrum of the corner simplex 0 <= x1 <= ... <= side):
+    Modes n run over all positive integer triples, or with `strict` over the
+    strictly increasing ones only (the antisymmetric sector, whose levels
+    are the spectrum of the corner simplex 0 <= x1 <= x2 <= x3 <= side):
     the ladder k^2 of `ladder_levels_below`.
     """
     if threshold <= 0:
@@ -208,13 +180,24 @@ def cube_mode_energies_below(
         return np.empty(0)
     return ladder_levels_below(np.arange(1, cap + 1) ** 2,
                                math.pi**2 / (2.0 * mass * side**2), threshold,
-                               ndim, strict)
+                               strict=strict)
 
 
 def dirichlet_cube_kinetic_sum(n: int, side: float, mass: float) -> float:
-    """Sum of the n lowest Dirichlet cube eigenvalues."""
+    """Sum of the n lowest Dirichlet cube eigenvalues pi^2 |k|^2 / (2 m side^2).
+
+    Modes k run over positive integer triples.  The cap grows until at least
+    n levels lie below (cap+1)^2 + 2, the least |k|^2 of any mode with an
+    index above the cap, so those levels are the lowest.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if side <= 0 or mass <= 0:
         raise ValueError("side and mass must be positive")
-    return float(lowest_cube_mode_energies(n, side, mass).sum())
+    scale = math.pi**2 / (2.0 * mass * side**2)
+    cap = max(2, int(math.ceil((3.0 * n) ** (1.0 / 3))) + 1)
+    while True:
+        levels = cube_mode_energies_below(scale * ((cap + 1) ** 2 + 2), side, mass)
+        if levels.size >= n:
+            return float(levels[:n].sum())
+        cap = int(cap * 1.5) + 1

@@ -33,7 +33,7 @@ class RadialGridFunction:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.ndim != 1 or self.nodes.size < 2:
+        if len(self.nodes.shape) != 1 or self.nodes.size < 2:
             raise ValueError("need at least two radial nodes")
         if self.nodes.shape != self.values.shape:
             raise ValueError("nodes and values must have equal length")
@@ -47,7 +47,7 @@ class RadialGridFunction:
     def __call__(self, r):
         """Piecewise-linear interpolant inside the grid, zero beyond it."""
         out = np.interp(r, self.nodes, self.values, right=0.0)
-        return out if np.ndim(out) else float(out)
+        return out if np.shape(out) else float(out)
 
 
 @dataclass
@@ -89,7 +89,7 @@ def legendre_transform(
     """
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    if p.ndim != 1 or p.size < 3 or p.shape != t.shape:
+    if len(p.shape) != 1 or p.size < 3 or p.shape != t.shape:
         raise ValueError("need matching 1-d arrays with at least 3 samples")
     if not np.all(np.diff(p) > 0):
         raise ValueError("momentum grid must be strictly increasing")
@@ -138,4 +138,4 @@ def gauss_panels(f, edges) -> float:
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = mid[:, None] + half[:, None] * _GAUSS_NODES
     out = np.sum(half * (f(x) @ _GAUSS_WEIGHTS), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if out.shape == () else out

@@ -46,7 +46,7 @@ class PeriodicField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim != 4:
+        if len(self.data.shape) != 4:
             raise ValueError("data must have shape (components, n, n, n)")
         c, n1, n2, n3 = self.data.shape
         if c not in (1, 2, 3):

@@ -22,7 +22,8 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _canon(obj) -> str:
+def dumps_canonical(obj: Any) -> str:
+    """Serialize to JSON with sorted keys and 17-digit floats."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int,)):
@@ -36,18 +37,14 @@ def _canon(obj) -> str:
         return f'"{out}"'
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{_canon(str(k))}:{_canon(v)}" for k, v in items)
+        inner = ",".join(f"{dumps_canonical(str(k))}:{dumps_canonical(v)}"
+                         for k, v in items)
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if hasattr(obj, "item"):  # numpy scalars
-        return _canon(obj.item())
+        return dumps_canonical(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps_canonical(obj: Any) -> str:
-    """Serialize to JSON with sorted keys and 17-digit floats."""
-    return _canon(obj)
 
 
 def rows_to_csv(rows: list[dict], header: dict) -> str:
@@ -79,20 +76,15 @@ def rows_to_csv(rows: list[dict], header: dict) -> str:
 class EnergyReport:
     """Named additive energy breakdown.
 
-    ``terms`` are the additive pieces (their sum is ``total``); quantities
-    that are not additive contributions (bounds, residuals, exact references)
-    go to ``extras``; ``checks`` records pass/fail of the inequalities the
-    experiment asserted.
+    ``terms`` are the additive pieces; quantities that are not additive
+    contributions (bounds, residuals, exact references) go to ``extras``;
+    ``checks`` records pass/fail of the inequalities the experiment asserted.
     """
 
     name: str
     terms: dict[str, float] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.terms.values()))
 
     @property
     def all_checks_pass(self) -> bool:

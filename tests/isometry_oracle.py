@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from coulomblab.grafschenker import SimplexTester
+from coulomblab.grafschenker import barycentric_forms
 
 # rotations drawn per batch; the batch size fixes how the random streams are
 # consumed, so changing it changes every estimate
@@ -45,7 +45,7 @@ def random_rotations(rng, n):
     return _quaternions_to_matrices(q)
 
 
-def pair_average(separations, weights, tester, samples, rng):
+def pair_average(separations, weights, forms, samples, rng):
     """Average over isometries g of sum_p w_p 1[r_p in g] 1[r_p + s_p in g].
 
     It is reported per unit |l simplex| with its standard error.  Each Haar
@@ -59,7 +59,7 @@ def pair_average(separations, weights, tester, samples, rng):
         m = min(CHUNK, samples - done)
         rots = random_rotations(rng, m)
         l1 = np.zeros((m, len(weights)))  # sum_k |l_k(R^T s_p)| = 2 phi
-        for a in tester.forms:  # l_k(R^T s) = (R a_k) . s
+        for a in forms:  # l_k(R^T s) = (R a_k) . s
             l1 += np.abs((rots @ a) @ separations.T)
         scale = np.maximum(1.0 - 0.5 * l1, 0.0)
         vals = (scale * scale * scale) @ weights
@@ -75,8 +75,8 @@ def pair_average(separations, weights, tester, samples, rng):
 def overlap_estimate(r, r_prime, simplex, ell, samples, seed=0):
     """Estimate of F(r, r') / |l simplex| with its standard error."""
     sep = (np.asarray(r_prime, float) - np.asarray(r, float)).reshape(1, 3)
-    return pair_average(sep, np.ones(1), SimplexTester(simplex, ell), samples,
-                        np.random.default_rng(seed))
+    return pair_average(sep, np.ones(1), barycentric_forms(simplex, ell),
+                        samples, np.random.default_rng(seed))
 
 
 def sliding_estimates(c, simplex, ell_list, samples, seed=0):
@@ -87,6 +87,6 @@ def sliding_estimates(c, simplex, ell_list, samples, seed=0):
     i, j = np.triu_indices(len(c), k=1)
     separations = c.positions[j] - c.positions[i]
     weights = c.charges[i] * c.charges[j] / c.pair_distances()[i, j]
-    return [pair_average(separations, weights, SimplexTester(simplex, ell), samples,
-                         np.random.default_rng([seed, idx]))
+    return [pair_average(separations, weights, barycentric_forms(simplex, ell),
+                         samples, np.random.default_rng([seed, idx]))
             for idx, ell in enumerate(np.asarray(ell_list, dtype=float))]

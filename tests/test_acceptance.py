@@ -180,8 +180,8 @@ def test_criterion_06_dispersion_grid():
 
 def test_criterion_07_dyson_solver_and_pipeline():
     with Timer() as t:
-        state = bg.dyson_variational_solve(grid_n=2000, r_max=40.0)
-        refined = bg.dyson_variational_solve(grid_n=4000, r_max=40.0)
+        state = bg.dyson_variational_solve(grid_n=2000)
+        refined = bg.dyson_variational_solve(grid_n=4000)
         pipeline = bg.dyson_pipeline(n_list=(10.0, 1e3, 1e6), state=state)
     drift = abs(refined.energy - state.energy) / abs(state.energy)
     ok = (

@@ -90,18 +90,25 @@ def _tensor_route(s: PairExcitationSpec, truncation: int = 40) -> dict:
 
 
 def _closed_forms(s: PairExcitationSpec) -> dict:
+    """The closed form of every FockMomentReport moment, by field name."""
     lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
     gam = lam**2 / (1.0 - lam**2)
     pair = np.sqrt(gam * (gam + 1.0))
     big_n = s.condensate_amplitude**2
     return {
-        "gamma_closed": np.diag(gam),
-        "pairing_closed": -np.diag(pair),
-        "four_point_closed": np.diag(pair**2 + gam**2) + np.outer(gam, gam),
-        "expected_total_mean": big_n + gam.sum(),
-        "expected_total_variance": big_n + (2.0 * gam * (gam + 1.0)).sum(),
-        "n_condensate": big_n,
+        "centered_two_point": np.diag(gam),
+        "centered_pairing": -np.diag(pair),
+        "centered_four_point": np.diag(pair**2 + gam**2) + np.outer(gam, gam),
+        "condensate_number_mean": big_n,
+        "condensate_number_variance": big_n,
+        "total_number_mean": big_n + gam.sum(),
+        "total_number_variance": big_n + (2.0 * gam * (gam + 1.0)).sum(),
     }
+
+
+def _largest_deviation(rep, closed: dict) -> float:
+    return max(float(np.abs(getattr(rep, name) - value).max())
+               for name, value in closed.items())
 
 
 class TestFockOracle:
@@ -144,29 +151,24 @@ class TestFockOracle:
                 condensate_amplitude=float(np.sqrt(rng.uniform(0.0, 8.0))),
             )
             rep = fock_oracle(spec, truncation=40)
-            want = _tensor_route(spec, truncation=40) | _closed_forms(spec)
-            assert set(want) == set(vars(rep))
+            want = _tensor_route(spec, truncation=40)
+            assert set(want) | {"max_error"} == set(vars(rep))
             for name, value in want.items():
                 got = getattr(rep, name)
                 assert np.shape(got) == np.shape(value), name
                 assert np.abs(got - value).max() <= 1e-12, name
+            assert abs(rep.max_error - _largest_deviation(rep, _closed_forms(spec))) \
+                <= 1e-15
 
     def test_six_modes_match_closed_forms(self):
         # truncation at 40 levels costs up to ~3e-9 at lambda = 0.55, well
         # inside the 1e-7 that the fock-oracle subcommand accepts
         spec = PairExcitationSpec((0.0, 0.1, 0.25, 0.4, 0.5, 0.55), math.sqrt(6.0))
         rep = fock_oracle(spec, truncation=40)
-        want = _closed_forms(spec)
         assert rep.centered_two_point.shape == (7, 7)
         assert rep.norm_deficit < 1e-8
-        for got, name in ((rep.centered_two_point, "gamma_closed"),
-                          (rep.centered_pairing, "pairing_closed"),
-                          (rep.centered_four_point, "four_point_closed"),
-                          (rep.condensate_number_mean, "n_condensate"),
-                          (rep.condensate_number_variance, "n_condensate"),
-                          (rep.total_number_mean, "expected_total_mean"),
-                          (rep.total_number_variance, "expected_total_variance")):
-            assert np.abs(got - want[name]).max() < 1e-7, name
+        for name, value in _closed_forms(spec).items():
+            assert np.abs(getattr(rep, name) - value).max() < 1e-7, name
         assert rep.max_error < 1e-7
 
     def test_truncation_error(self):
@@ -268,7 +270,7 @@ class TestI0:
 
 @pytest.fixture(scope="module")
 def solved_state():
-    return dyson_variational_solve(grid_n=1500, r_max=40.0)
+    return dyson_variational_solve(grid_n=1500)
 
 
 def _projected_gradient_norm(u, r, i0):
@@ -324,13 +326,13 @@ class TestDysonSolver:
         assert st.energy == pytest.approx(-(5.0 / 6.0) * st.kinetic, rel=5e-3)
 
     def test_grid_refinement_stability(self, solved_state):
-        finer = dyson_variational_solve(grid_n=3000, r_max=40.0)
+        finer = dyson_variational_solve(grid_n=3000)
         assert abs(finer.energy - solved_state.energy) < 1e-3 * abs(
             solved_state.energy
         )
 
     def test_reaches_tolerance_at_default_grid(self):
-        st = dyson_variational_solve(grid_n=2000, r_max=40.0)
+        st = dyson_variational_solve(grid_n=2000)
         assert st.converged
         r = st.phi.nodes
         u = r * st.phi.values
@@ -349,7 +351,7 @@ class TestDysonSolver:
         assert st.energy <= -0.05034128771796341
 
     def test_iterations_independent_of_mesh(self, solved_state):
-        fine = dyson_variational_solve(grid_n=4000, r_max=40.0)
+        fine = dyson_variational_solve(grid_n=4000)
         assert solved_state.iterations <= 20 and fine.iterations <= 20
         assert abs(fine.iterations - solved_state.iterations) <= 2
 
@@ -357,13 +359,13 @@ class TestDysonSolver:
         # too narrow a start: the plain Newton step points uphill here
         r = np.linspace(0.0, 40.0, 801)
         init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
-        st = dyson_variational_solve(grid_n=1500, r_max=40.0, init=init)
+        st = dyson_variational_solve(grid_n=1500, init=init)
         assert st.relative_gradient < 1e-7
         assert st.energy == pytest.approx(solved_state.energy, rel=1e-9)
 
     def test_unconverged_solve_raises(self):
         with pytest.raises(ConvergenceError):
-            dyson_variational_solve(grid_n=1500, r_max=40.0, max_iter=1)
+            dyson_variational_solve(grid_n=1500, max_iter=1)
 
     @pytest.mark.parametrize("grid_n", [1, 0])
     def test_grid_without_interior_node_rejected(self, grid_n):
@@ -383,8 +385,8 @@ class TestDysonSolver:
         r = np.linspace(0.0, 40.0, 801)
         init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
         _assert_same_state(
-            dyson_variational_solve(grid_n=1500, r_max=40.0, init=init),
-            reference_dyson_solve(grid_n=1500, r_max=40.0, init=init),
+            dyson_variational_solve(grid_n=1500, init=init),
+            reference_dyson_solve(grid_n=1500, init=init),
         )
 
     def test_warm_start_at_the_minimizer_takes_no_step(self):
@@ -396,17 +398,16 @@ class TestDysonSolver:
         assert warm.energy == st.energy
         assert warm.converged
 
-    @pytest.mark.parametrize("r_max", [40.0, 7.0])
-    def test_one_interior_node_takes_no_step(self, r_max):
+    def test_one_interior_node_takes_no_step(self):
         # the normalized profile is fixed, so the start is the minimizer
-        st = dyson_variational_solve(grid_n=2, r_max=r_max)
+        st = dyson_variational_solve(grid_n=2)
         assert st.iterations == 0
         assert st.converged and st.energy < 0.0
 
     def test_custom_init_same_minimum(self, solved_state):
         r = np.linspace(0.0, 40.0, 801)
         init = RadialGridFunction(r, np.exp(-r / 2.0))
-        st = dyson_variational_solve(grid_n=1500, r_max=40.0, init=init)
+        st = dyson_variational_solve(grid_n=1500, init=init)
         assert st.energy == pytest.approx(solved_state.energy, rel=1e-4)
 
 

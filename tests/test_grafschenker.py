@@ -9,11 +9,11 @@ from coulomblab.coulomb import ChargeConfiguration, random_neutral_configuration
 from coulomblab.errors import DegenerateSimplexError
 from coulomblab.grafschenker import (
     Simplex,
-    SimplexTester,
     _direction_average,
     _face_triangles,
     _gauge_moments,
     _truncated_kernel,
+    barycentric_forms,
     gauge_moments,
     gs_positive_type_check,
     overlap_kernel,
@@ -70,7 +70,7 @@ def fibonacci_phi():
     blocks to keep the arrays small.
     """
     n = 2_000_000
-    forms = SimplexTester(regular_tetrahedron(), 1.0).forms
+    forms = barycentric_forms(regular_tetrahedron(), 1.0)
     blocks = []
     for start in range(0, n, 250_000):
         k = np.arange(start, min(start + 250_000, n)) + 0.5
@@ -96,7 +96,7 @@ def cubic_kernel(x, moments):
 
 class TestSimplex:
     def test_regular_tetrahedron_volume(self):
-        simp = regular_tetrahedron(edge=1.0)
+        simp = regular_tetrahedron()
         assert simp.volume == pytest.approx(1.0 / (6.0 * math.sqrt(2.0)), rel=1e-12)
         assert simp.diameter == pytest.approx(1.0, rel=1e-12)
 

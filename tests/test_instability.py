@@ -138,46 +138,36 @@ class TestCriticalCharge:
 class TestAttractiveCollapse:
     def test_three_dimensional_exponent_and_onset(self):
         ns = np.unique(np.round(np.geomspace(8, 32768, 16)).astype(int))
-        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
+        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0)
         assert 1.62 <= rep.fitted_exponent <= 1.72
         assert rep.onset_n is not None
+        assert rep.to_dict()["dimension"] == 3
         # estimates become negative and keep decreasing past the onset
         tail = [r["estimate"] for r in rep.rows if r["N"] >= rep.onset_n]
         assert all(b < a for a, b in zip(tail, tail[1:]))
         assert tail[-1] < 0.0
 
-    def test_one_dimensional_no_collapse_conclusion(self):
-        ns = np.unique(np.round(np.geomspace(8, 2048, 10)).astype(int))
-        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=1)
-        # kinetic sums grow like N^3, per-particle N^2 beats the attraction
-        assert rep.fitted_exponent == pytest.approx(3.0, abs=0.05)
-        assert rep.onset_n is None
-
     def test_kinetic_ratio_stabilizes(self):
         ns = np.unique(np.round(np.geomspace(6554, 65536, 8)).astype(int))
-        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
+        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0)
         ratios = [r["kinetic"] / r["N"] ** (5.0 / 3.0) for r in rep.rows]
         assert (max(ratios) - min(ratios)) / min(ratios) < 0.05
 
     def test_radius_scaling(self):
         ns = np.array([64])
-        rep1 = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
-        rep2 = attractive_collapse_experiment(ns, radius=2.0, c=1.0, ndim=3)
+        rep1 = attractive_collapse_experiment(ns, radius=1.0, c=1.0)
+        rep2 = attractive_collapse_experiment(ns, radius=2.0, c=1.0)
         assert rep2.rows[0]["kinetic"] == pytest.approx(
             rep1.rows[0]["kinetic"] / 4.0, rel=1e-12
         )
 
     def test_fitted_exponent_is_least_squares_slope(self):
         ns = np.unique(np.round(np.geomspace(8, 4096, 12)).astype(int))
-        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0, ndim=3)
+        rep = attractive_collapse_experiment(ns, radius=1.0, c=1.0)
         top = rep.rows[-6:]
         x = np.log([r["N"] for r in top])
         design = np.stack([x, np.ones_like(x)], axis=1)
         slope = np.linalg.lstsq(design, np.log([r["kinetic"] for r in top]), rcond=None)[0][0]
         assert rep.fitted_exponent == pytest.approx(slope, rel=1e-12)
         with pytest.raises(ValueError):
-            attractive_collapse_experiment(np.array([64, 64]), 1.0, 1.0, ndim=3)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            attractive_collapse_experiment(np.array([8]), 1.0, 1.0, ndim=4)
+            attractive_collapse_experiment(np.array([64, 64]), 1.0, 1.0)

@@ -14,7 +14,6 @@ from coulomblab.liebthirring import (
     cube_mode_energies_below,
     dirichlet_cube_kinetic_sum,
     ladder_levels_below,
-    lowest_cube_mode_energies,
     stability_constant,
 )
 from variational_oracle import density_coefficients, density_objective
@@ -50,12 +49,12 @@ def semiclassical_phase_space_energy(v, cell_volume, m):
     return value, kappa
 
 
-def brute_force_levels(threshold, side, mass, ndim, strict):
-    """Dirichlet cube levels below threshold by looping over index tuples."""
+def brute_force_levels(threshold, side, mass, strict):
+    """Dirichlet cube levels below threshold by looping over index triples."""
     scale = math.pi**2 / (2.0 * mass * side**2)
     cap = math.isqrt(int(threshold / scale)) + 2
     levels = []
-    for ks in itertools.product(range(1, cap + 1), repeat=ndim):
+    for ks in itertools.product(range(1, cap + 1), repeat=3):
         if strict and any(a >= b for a, b in zip(ks, ks[1:])):
             continue
         e = scale * sum(k * k for k in ks)
@@ -229,20 +228,28 @@ class TestDirichletSums:
         slope = np.polyfit(np.log(ns), np.log(sums), 1)[0]
         assert 1.60 <= slope <= 1.73
 
-    def test_lower_dimensions(self):
-        # 1-d: sum of pi^2 k^2 / 2 up to N
-        got = lowest_cube_mode_energies(4, 1.0, 1.0, ndim=1)
-        assert np.allclose(got, math.pi**2 / 2.0 * np.array([1, 4, 9, 16]))
-        # 2-d: |n|^2 = 2, 5, 5, 8, 10, 10
-        got = lowest_cube_mode_energies(6, 1.0, 1.0, ndim=2)
-        assert np.allclose(got, math.pi**2 / 2.0 * np.array([2, 5, 5, 8, 10, 10]))
+    # at mass pi^2/2 and unit side every level is the integer |k|^2, so the
+    # sums are exact and their increments equal the levels bit for bit
+    @pytest.mark.parametrize("side, mass, rel", [(1.0, math.pi**2 / 2.0, 0.0),
+                                                 (2.5, 0.7, 1e-12)])
+    def test_sum_increments_are_the_sorted_levels(self, side, mass, rel):
+        want = brute_force_levels(60.0 * math.pi**2 / (2.0 * mass * side**2),
+                                  side, mass, strict=False)[:60]
+        sums = [dirichlet_cube_kinetic_sum(n, side, mass) for n in range(1, 61)]
+        assert np.diff([0.0] + sums) == pytest.approx(want, rel=rel, abs=0.0)
 
-    @pytest.mark.parametrize("ndim, strict", [(1, False), (2, False), (3, False),
-                                              (1, True), (2, True), (3, True)])
-    def test_levels_below_match_brute_force(self, ndim, strict):
+    def test_strict_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            cube_mode_energies_below(100.0, 1.0, 1.0, True)
+        with pytest.raises(TypeError):
+            ladder_levels_below(np.arange(1.0, 5.0), 1.0, 9.0, True)
+
+    # the ids name the cases by (dimension, strict)
+    @pytest.mark.parametrize("strict", [False, True], ids=["3-False", "3-True"])
+    def test_levels_below_match_brute_force(self, strict):
         for threshold, side, mass in ((100.0, 1.0, 1.0), (12.0, 4.5, 0.7), (250.0, 2.0, 3.0)):
-            got = cube_mode_energies_below(threshold, side, mass, ndim, strict)
-            want = brute_force_levels(threshold, side, mass, ndim, strict)
+            got = cube_mode_energies_below(threshold, side, mass, strict=strict)
+            want = brute_force_levels(threshold, side, mass, strict)
             assert got.size == len(want) > 0
             assert got == pytest.approx(want, rel=1e-15)
 
@@ -263,16 +270,15 @@ class TestDirichletSums:
         "random": (np.random.default_rng(11).uniform(0.05, 2.0, 9), 1.3),
     }
 
-    @pytest.mark.parametrize("ndim, strict", [(1, False), (2, False), (3, False),
-                                              (1, True), (2, True), (3, True)])
+    @pytest.mark.parametrize("strict", [False, True], ids=["3-False", "3-True"])
     @pytest.mark.parametrize("name", sorted(LADDERS))
-    def test_ladder_levels_match_brute_force(self, name, ndim, strict):
+    def test_ladder_levels_match_brute_force(self, name, strict):
         ladder, scale = self.LADDERS[name]
         tuples = (itertools.combinations if strict else
                   lambda xs, n: itertools.product(xs, repeat=n))
-        every = [scale * sum(t) for t in tuples(ladder.tolist(), ndim)]
+        every = [scale * sum(t) for t in tuples(ladder.tolist(), 3)]
         for threshold in np.quantile(every, [0.1, 0.5, 0.9]):
-            got = ladder_levels_below(ladder, scale, threshold, ndim, strict)
+            got = ladder_levels_below(ladder, scale, threshold, strict=strict)
             want = sorted(level for level in every if level < threshold)
             assert got.size == len(want) > 0
             assert got.tolist() == want
@@ -285,7 +291,7 @@ class TestDirichletSums:
             == [3.75]
         # the six tuples of level 3.0 (0.5 + 1.25 + 1.25, 0.5 + 0.5 + 2.0) drop
         assert ladder_levels_below(ladder, 1.0, 3.0).tolist() == [1.5] + [2.25] * 3
-        assert ladder_levels_below(ladder, 1.0, 1.5, ndim=3).size == 0
+        assert ladder_levels_below(ladder, 1.0, 1.5).size == 0
 
     def test_dominates_box_bound_with_classical_constant(self):
         for n in (1, 2, 8, 37, 200, 1500, 10000):
