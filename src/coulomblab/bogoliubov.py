@@ -64,8 +64,10 @@ class PairExcitationSpec:
         for lam in self.lambdas:
             if not (0.0 <= lam < LAMBDA_MAX):
                 raise ValueError(f"lambda={lam} outside [0, {LAMBDA_MAX})")
-        if self.condensate_amplitude < 0:
-            raise ValueError("condensate amplitude sqrt(N) must be >= 0")
+        if not (math.isfinite(self.condensate_amplitude)
+                and self.condensate_amplitude >= 0):
+            raise ValueError(
+                "condensate amplitude sqrt(N) must be nonnegative and finite")
 
     @property
     def n_modes(self) -> int:
@@ -85,48 +87,56 @@ def _coherent_vector(sqrt_n: float, cutoff: int) -> np.ndarray:
     return v
 
 
-def _squeezed_vector(lam: float, cutoff: int) -> np.ndarray:
-    """Amplitudes of (1-lam^2)^(1/4) exp(-(lam/2) a*^2)|0> on even levels."""
-    v = np.zeros(cutoff + 1)
-    v[0] = (1.0 - lam * lam) ** 0.25
-    n = 0
-    while 2 * (n + 1) <= cutoff:
-        ratio = (-lam / 2.0) * math.sqrt((2 * n + 1) * (2 * n + 2)) / (n + 1)
-        v[2 * (n + 1)] = v[2 * n] * ratio
-        n += 1
-    return v
+def _squeezed_rows(lambdas: tuple[float, ...], cutoff: int) -> np.ndarray:
+    """Amplitudes of (1-lam^2)^(1/4) exp(-(lam/2) a*^2)|0>, one row per lambda.
+
+    The even levels are running products of the ratios
+    <2n+2|.>/<2n|.> = (-lam/2) sqrt((2n+1)(2n+2))/(n+1), taken in level order.
+    The start values take Python's float power: numpy's array power can
+    differ from it in the last bit.
+    """
+    lam = np.array(lambdas)[:, None]
+    n = np.arange(cutoff // 2)
+    even = np.empty((len(lambdas), n.size + 1))
+    even[:, 0] = [(1.0 - l * l) ** 0.25 for l in lambdas]
+    levels = ((2 * n + 1) * (2 * n + 2)).astype(float)
+    even[:, 1:] = (-lam / 2.0) * np.sqrt(levels) / (n + 1)
+    rows = np.zeros((len(lambdas), cutoff + 1))
+    rows[:, ::2] = np.multiply.accumulate(even, axis=1)
+    return rows
 
 
-def _lowered(v: np.ndarray, shift: float) -> np.ndarray:
-    """(a - shift) v with the annihilator truncated to the levels of v."""
+def _lowered(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """(a - shift) on each row of v, the annihilator truncated to its levels."""
     out = -shift * v
-    out[:-1] += np.sqrt(np.arange(1.0, v.size)) * v[1:]
+    out[:, :-1] += np.sqrt(np.arange(1.0, v.shape[1])) * v[:, 1:]
     return out
 
 
-def _raised(v: np.ndarray, shift: float) -> np.ndarray:
-    """(a* - shift) v, dropping the level one above the cutoff."""
+def _raised(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """(a* - shift) on each row of v, dropping the level above the cutoff."""
     out = -shift * v
-    out[1:] += np.sqrt(np.arange(1.0, v.size)) * v[:-1]
+    out[:, 1:] += np.sqrt(np.arange(1.0, v.shape[1])) * v[:, :-1]
     return out
 
 
-def _mode_moments(v: np.ndarray, shift: float) -> np.ndarray:
-    """<b>, <b*b>, <b*b*>, <b*^2 b^2>, <n> and <n^2> of one normalized mode.
+def _mode_moments(v: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """<b>, <b*b>, <b*b*>, <b*^2 b^2>, <n> and <n^2> of each normalized row.
 
-    b = a - shift.  Inner products are elementwise sums rather than a BLAS
-    dot, whose summation order could depend on the thread count.
+    b = a - shift, with shift a column.  Inner products are elementwise sums
+    along the rows rather than a BLAS dot, whose summation order could
+    depend on the thread count.
     """
     bv = _lowered(v, shift)
-    nv = np.arange(v.size) * v
+    nv = np.arange(v.shape[1]) * v
     bbv = _lowered(bv, shift)
     return np.array([
-        (v * bv).sum(),
-        (bv * bv).sum(),
-        (bv * _raised(v, shift)).sum(),
-        (bbv * bbv).sum(),
-        (v * nv).sum(),
-        (nv * nv).sum(),
+        (v * bv).sum(axis=1),
+        (bv * bv).sum(axis=1),
+        (bv * _raised(v, shift)).sum(axis=1),
+        (bbv * bbv).sum(axis=1),
+        (v * nv).sum(axis=1),
+        (nv * nv).sum(axis=1),
     ])
 
 
@@ -154,10 +164,11 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     """Exact moments of the displaced-squeezed state in a truncated basis.
 
     The state is the product coherent(condensate) x squeezed(pairs), so each
-    moment is a product of one-mode expectations, taken with explicitly
-    truncated ladder operators on one vector per mode.  The closed forms are
-    gamma = lambda^2 / (1 - lambda^2) for b*b, -sqrt(gamma(gamma+1)) for
-    b*b*, the quasi-free 4-point expansion
+    moment is a product of one-mode expectations.  The one-mode vectors are
+    the rows of one (1 + modes) x (truncation + 1) array, condensate first,
+    and explicitly truncated ladder operators act on all rows at once.  The
+    closed forms are gamma = lambda^2 / (1 - lambda^2) for b*b,
+    -sqrt(gamma(gamma+1)) for b*b*, the quasi-free 4-point expansion
     sqrt(gamma(gamma+1))_ab^2 + gamma_ab^2 + gamma_aa gamma_bb, N for the
     condensate number's mean and variance, and N + sum gamma and
     N + sum 2 gamma(gamma+1) for the total number's.  Raises TruncationError
@@ -166,55 +177,45 @@ def fock_oracle(s: PairExcitationSpec, truncation: int = 40) -> FockMomentReport
     if truncation < 30:
         raise ValueError("truncation must be at least 30")
 
-    vectors = [_coherent_vector(s.condensate_amplitude, truncation)]
-    vectors += [_squeezed_vector(lam, truncation) for lam in s.lambdas]
-    norms2 = [float((v * v).sum()) for v in vectors]
-    deficit = abs(1.0 - math.prod(norms2))
-    if deficit > 1e-8:
+    vectors = np.vstack([_coherent_vector(s.condensate_amplitude, truncation),
+                         _squeezed_rows(s.lambdas, truncation)])
+    norms2 = (vectors * vectors).sum(axis=1)
+    deficit = abs(1.0 - math.prod(norms2.tolist()))
+    if not deficit <= 1e-8:
         raise TruncationError(f"norm deficit {deficit:.3e} exceeds 1e-8")
 
     # b_0 = a_0 - sqrt(N) on the condensate, b_k = a_k on the pair modes
-    shifts = [s.condensate_amplitude] + [0.0] * s.n_modes
-    mean_b, b_dag_b, pair, four, n_mean, n_second = np.array([
-        _mode_moments(v / math.sqrt(n2), shift)
-        for v, n2, shift in zip(vectors, norms2, shifts)
-    ]).T
+    shifts = np.zeros((s.n_modes + 1, 1))
+    shifts[0] = s.condensate_amplitude
+    mean_b, b_dag_b, pair, four, n_mean, n_second = _mode_moments(
+        vectors / np.sqrt(norms2)[:, None], shifts)
     # distinct modes factorize: <b_i* b_j> = <b_i* b_j*> = <b_i><b_j> (real
     # amplitudes) and <b_i* b_j* b_j b_i> = <b_i* b_i><b_j* b_j>
-    two_point = np.outer(mean_b, mean_b)
-    np.fill_diagonal(two_point, b_dag_b)
-    pairing = np.outer(mean_b, mean_b)
-    np.fill_diagonal(pairing, pair)
-    four_point = np.outer(b_dag_b, b_dag_b)
-    np.fill_diagonal(four_point, four)
+    matrices = np.stack([np.outer(mean_b, mean_b), np.outer(mean_b, mean_b),
+                         np.outer(b_dag_b, b_dag_b)])
+    diagonal = np.arange(s.n_modes + 1)
+    matrices[:, diagonal, diagonal] = (b_dag_b, pair, four)
     n_variance = n_second - n_mean**2
-    moments = {
-        "centered_two_point": two_point,
-        "centered_pairing": pairing,
-        "centered_four_point": four_point,
-        "condensate_number_mean": float(n_mean[0]),
-        "condensate_number_variance": float(n_variance[0]),
-        "total_number_mean": float(n_mean.sum()),
-        "total_number_variance": float(n_variance.sum()),
-    }
+    number_moments = np.array([n_mean[0], n_variance[0],
+                               n_mean.sum(), n_variance.sum()])
 
     lam = np.concatenate([[0.0], np.asarray(s.lambdas)])
     gam = lam**2 / (1.0 - lam**2)
     gamma_closed = np.diag(gam)
     pairing_closed = -np.diag(np.sqrt(gam * (gam + 1.0)))
     big_n = s.mean_condensate_number
-    closed_forms = (
+    matrices_closed = np.stack([
         gamma_closed,
         pairing_closed,
         pairing_closed**2 + gamma_closed**2 + np.outer(gam, gam),
-        big_n,
-        big_n,
-        big_n + float(gam.sum()),
-        big_n + float((2.0 * gam * (gam + 1.0)).sum()),
-    )
-    max_error = max(float(np.abs(got - want).max())
-                    for got, want in zip(moments.values(), closed_forms))
-    return FockMomentReport(norm_deficit=deficit, **moments, max_error=max_error)
+    ])
+    number_moments_closed = np.array([big_n, big_n, big_n + float(gam.sum()),
+                                      big_n + float((2.0 * gam * (gam + 1.0)).sum())])
+    max_error = max(float(np.abs(matrices - matrices_closed).max()),
+                    float(np.abs(number_moments - number_moments_closed).max()))
+    # the report's fields in order: the deficit, the three matrices, the
+    # condensate and total number moments, max_error
+    return FockMomentReport(deficit, *matrices, *number_moments.tolist(), max_error)
 
 
 def _dispersion_e_min(tau, g):
@@ -298,30 +299,40 @@ def working_i0() -> float:
     return compute_I0()[0]
 
 
+@functools.cache
+def _scale_free_p_integral() -> float:
+    """int x^2 e_min(x^2/2, 1/(2 x^2)) dx over 40 geometric panels to x = 40."""
+
+    def integrand(x):
+        return x * x * _dispersion_e_min(0.5 * x * x, 0.5 / (x * x))
+
+    return gauss_panels(integrand, np.r_[0.0, np.geomspace(1e-3, 40.0, 40)])
+
+
 def semiclassical_p_integral(density: float, big_n: float) -> float:
     """(2 pi)^-3 int e_min(p^2/2, 4 pi N rho / p^2) d^3p.
 
-    Radial quadrature against the dispersion minimum by gauss_panels on 40
-    geometric panels in units of the dispersion scale (8 pi N rho)^(1/4); the
-    far tail behaves like -8 pi^2 (N rho)^2 p^-6 and is added analytically.
-    The result equals -I0 (N rho)^(5/4) and is cross-checked against the
-    closed form of I0 by the test suite rather than assumed here.
+    Radial quadrature against the dispersion minimum.  With the dispersion
+    scale s = (8 pi N rho)^(1/4) and p = s x, 4 pi N rho / p^2 = s^2/(2 x^2),
+    and e_min is homogeneous of degree one, so the core up to p = 40 s is
+    s^5 times one dimensionless integral by gauss_panels on 40 geometric
+    panels, computed once per process.  The far tail behaves like
+    -8 pi^2 (N rho)^2 p^-6 and is added analytically.  The result equals
+    -I0 (N rho)^(5/4) and is cross-checked against the closed form of I0 by
+    the test suite rather than assumed here; the tests also keep the
+    quadrature on panels scaled per call as the oracle of this one.
     """
-    if density <= 0 or big_n <= 0:
-        raise ValueError("density and N must be positive")
+    if not (math.isfinite(density) and density > 0
+            and math.isfinite(big_n) and big_n > 0):
+        raise ValueError("density and N must be positive and finite")
 
     a = big_n * density
     scale = (8.0 * math.pi * a) ** 0.25
-
-    def integrand(p):
-        return p * p * _dispersion_e_min(0.5 * p * p, 4.0 * math.pi * a / (p * p))
-
     p_break = 40.0 * scale
-    panels = np.r_[0.0, np.geomspace(1e-3 * scale, p_break, 40)]
-    core = gauss_panels(integrand, panels)
     c2 = 8.0 * math.pi**2 * a * a
     c3 = 64.0 * math.pi**3 * a**3
     tail = -c2 / (3.0 * p_break**3) + c3 / (7.0 * p_break**7)
+    core = scale**5 * _scale_free_p_integral()
     return (2.0 * math.pi) ** (-3) * 4.0 * math.pi * (core + tail)
 
 
@@ -413,19 +424,25 @@ def dyson_variational_solve(
     by one tridiagonal solve (LAPACK ?gtsv) of J applied to F and d, with dmu
     from the bordering formula.  The new iterate is clipped to u >= 0 and
     renormalized.
+    Trials are ranked by energy without summing K and P: u vanishes at both
+    ends, so u.Au = K by summation by parts and f(u).u = (5/2) I0 P, and
+    E = g.u/2 + f(u).u/10 costs one dot product beyond the g.u that mu
+    takes.  The returned K, P and E are summed directly, once, on the
+    accepted iterate.
     A step that would raise the energy is solved again with J shifted by
     lambda 8 pi diag(w), lambda = |mu|/4, |mu|, 4|mu|, ...: that is a linearized
     backward-Euler step of the normalized gradient flow (Bao & Du, SIAM J.
     Sci. Comput. 25 (2004) 1674) with time step 1/lambda, which lowers the
     energy once it is short enough.  Far from the minimizer J is indefinite
     and the Newton step can point uphill; near it, full Newton steps are
-    taken and converge quadratically.  Components of the projected gradient
-    that push a zero entry below zero are dropped, as the bound u >= 0 is
-    active there.  Stops when its norm falls below DYSON_TOL times its value
-    at the first iterate and raises ConvergenceError when ``max_iter`` steps
-    do not get there.  A first iterate that is already a minimizer to
-    rounding, ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||,
-    takes no step and reports a relative gradient of 1.
+    taken and converge quadratically.  The bound u >= 0 never needs a
+    projection of F: at an entry u_i = 0, F_i = -(4 pi/h)(u_(i-1) + u_(i+1))
+    <= 0, which never pushes it below zero.  Stops when the norm of F falls
+    below DYSON_TOL times its value at the first iterate and raises
+    ConvergenceError when ``max_iter`` steps do not get there.  A first
+    iterate that is already a minimizer to rounding,
+    ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||, takes no
+    step and reports a relative gradient of 1.
 
     The stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
@@ -461,17 +478,21 @@ def dyson_variational_solve(
     gtsv = get_lapack_funcs("gtsv", (off,))
 
     def evaluate(uu):
-        """Projected gradient on the interior nodes, its norm, mu, E, K and P."""
-        ui = uu[1:-1]
-        g = stiff * (2.0 * ui - uu[:-2] - uu[2:]) - pot_grad * ui**1.5
-        d = mass * ui
-        mu = float(g @ ui) / float(d @ ui)
-        f_res = g - mu * d
-        norm = float(np.linalg.norm(np.where((ui <= 0.0) & (f_res > 0.0), 0.0, f_res)))
-        kinetic, potential = _dyson_quantities(uu, h, w, sqrt_r)
-        return f_res, norm, mu, 0.5 * kinetic - i0 * potential, kinetic, potential
+        """Projected gradient on the interior nodes, its norm, mu, d and E.
 
-    f_res, pg_norm, mu, energy, kinetic, potential = evaluate(u)
+        E = K/2 - I0 P is g.u/2 + f(u).u/10, as the docstring above shows.
+        """
+        ui = uu[1:-1]
+        f = pot_grad * ui**1.5
+        g = stiff * (2.0 * ui - uu[:-2] - uu[2:]) - f
+        d = mass * ui
+        g_u = float(g @ ui)
+        mu = g_u / float(d @ ui)
+        f_res = g - mu * d
+        norm = math.sqrt(float(f_res @ f_res))
+        return f_res, norm, mu, d, g_u / 2.0 + float(f @ ui) / 10.0
+
+    f_res, pg_norm, mu, d, energy = evaluate(u)
     pg_ref = max(pg_norm, 1e-300)
     # the terms that F cancels from, each >= 0 as u >= 0: a start already at
     # the minimizer, such as a converged profile or the one profile of
@@ -485,7 +506,6 @@ def dyson_variational_solve(
         iterations += 1
         ui = u[1:-1]
         rhs = np.empty((grid_n - 1, 2), order="F")
-        d = mass * ui
         rhs[:, 0] = -f_res
         rhs[:, 1] = d
         newton_diag = 2.0 * stiff - pot_curv * np.sqrt(ui) - mu * mass
@@ -498,12 +518,12 @@ def dyson_variational_solve(
             trial /= math.sqrt(_dyson_norm2(trial, w))
             trial_state = evaluate(trial)
             # near the minimizer a step moves E by less than its rounding
-            if trial_state[3] <= energy + 1e-12 * abs(energy):
+            if trial_state[4] <= energy + 1e-12 * abs(energy):
                 break
         else:
             break  # no shift lowers the energy
         u = trial
-        f_res, pg_norm, mu, energy, kinetic, potential = trial_state
+        f_res, pg_norm, mu, d, energy = trial_state
 
     relative_gradient = pg_norm / pg_ref
     if relative_gradient >= DYSON_TOL and not at_floor:
@@ -511,6 +531,8 @@ def dyson_variational_solve(
             f"no convergence in {iterations} Newton steps, relative projected "
             f"gradient {relative_gradient:.3e} >= tol {DYSON_TOL:.1e}"
         )
+    kinetic, potential = _dyson_quantities(u, h, w, sqrt_r)
+    energy = 0.5 * kinetic - i0 * potential
     if energy >= 0:
         raise ConvergenceError("solve ended at a non-negative energy")
     virial = abs(kinetic - 0.75 * i0 * potential) / kinetic
@@ -589,8 +611,8 @@ def dyson_pipeline(
     u = r * state.phi.values
     rows = []
     for big_n in n_list:
-        if big_n <= 0:
-            raise ValueError("N values must be positive")
+        if not (math.isfinite(big_n) and big_n > 0):
+            raise ValueError("N values must be positive and finite")
         s = big_n**0.2
         r_scaled = r / s
         u_scaled = (big_n**0.3 / s) * u

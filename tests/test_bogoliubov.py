@@ -16,6 +16,7 @@ from coulomblab.bogoliubov import (
 )
 from coulomblab.errors import ConvergenceError, TruncationError
 from coulomblab.numerics import RadialGridFunction
+from bogoliubov_oracle import per_mode_fock_report, per_scale_p_integral
 from dyson_oracle import reference_dyson_solve
 
 
@@ -171,6 +172,32 @@ class TestFockOracle:
             assert np.abs(getattr(rep, name) - value).max() < 1e-7, name
         assert rep.max_error < 1e-7
 
+    @pytest.mark.parametrize("truncation", [30, 31, 40, 60])
+    def test_equals_the_per_mode_route(self, truncation):
+        # the library runs the per-mode route's arithmetic on the rows of one
+        # array, so every field is the same float; lambda up to 0.8 and N up
+        # to 20 make some specs raise TruncationError on both routes
+        rng = np.random.default_rng(3500 + truncation)
+        raised = 0
+        for _ in range(150):
+            spec = PairExcitationSpec(
+                tuple(rng.uniform(0.0, 0.8, size=int(rng.integers(1, 6)))),
+                condensate_amplitude=float(np.sqrt(rng.uniform(0.0, 20.0))),
+            )
+            try:
+                want = per_mode_fock_report(spec, truncation)
+            except TruncationError:
+                raised += 1
+                with pytest.raises(TruncationError):
+                    fock_oracle(spec, truncation)
+                continue
+            got = fock_oracle(spec, truncation)
+            assert set(vars(got)) == set(vars(want))
+            for name, value in vars(want).items():
+                assert np.shape(getattr(got, name)) == np.shape(value), name
+                assert np.array_equal(getattr(got, name), value), name
+        assert 0 < raised < 150
+
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             fock_oracle(
@@ -242,14 +269,18 @@ class TestI0:
         assert stated == pytest.approx(2.0 * quadrature, rel=1e-10)
 
     def test_semiclassical_ratio_constant(self):
+        # the library scales one dimensionless integral, so its ratio is
+        # constant by construction; the per-scale route integrates afresh
         i0 = working_i0()
-        ratios = []
-        for a in (1e-2, 1.0, 1e2):
-            v = semiclassical_p_integral(a, 1.0)
-            ratios.append(-v / a**1.25)
+        ratios = [-per_scale_p_integral(a, 1.0) / a**1.25 for a in (1e-2, 1.0, 1e2)]
         for r in ratios:
             assert r == pytest.approx(i0, rel=1e-6)
         assert max(ratios) - min(ratios) < 1e-6 * i0
+
+    @pytest.mark.parametrize("a", [1e-2, 0.3, 1.0, 7.0, 1e2, 1e4])
+    def test_p_integral_matches_per_scale_route(self, a):
+        want = per_scale_p_integral(a, 1.0)
+        assert abs(semiclassical_p_integral(a, 1.0) - want) <= 1e-14 * abs(want)
 
     def test_quadrature_float(self):
         # the float that the i0 and dyson-* artifacts carry
@@ -372,7 +403,7 @@ class TestDysonSolver:
         with pytest.raises(ValueError, match="grid_n must be at least 2"):
             dyson_variational_solve(grid_n=grid_n)
 
-    @pytest.mark.parametrize("grid_n", [3, 10, 777, 2000, 2200, 4000])
+    @pytest.mark.parametrize("grid_n", [*range(2, 60), 777, 2000, 2200, 4000])
     def test_equals_the_reference_route(self, grid_n):
         # the reference route: solve_banded, and the weights, sqrt(r) and
         # normalization recomputed at every evaluation
@@ -388,6 +419,30 @@ class TestDysonSolver:
             dyson_variational_solve(grid_n=1500, init=init),
             reference_dyson_solve(grid_n=1500, init=init),
         )
+
+    @pytest.mark.parametrize("start", ["gaussian", "converged"])
+    def test_energy_from_gradient_inner_products(self, start, solved_state):
+        # u vanishes at both ends, so g.u = K - (5/2) I0 P and f(u).u =
+        # (5/2) I0 P: the solve ranks its trials by g.u/2 + f(u).u/10
+        from coulomblab.bogoliubov import _dyson_grid, _dyson_quantities
+
+        r = solved_state.phi.nodes
+        h = r[1] - r[0]
+        w, sqrt_r = _dyson_grid(r, h)
+        if start == "gaussian":
+            u = r * np.exp(-(r**2) / 18.0)
+            u[-1] = 0.0
+            u /= math.sqrt(4.0 * math.pi * float(w @ u**2))
+        else:
+            u = r * solved_state.phi.values
+            u[0] = 0.0
+        i0 = working_i0()
+        ui = u[1:-1]
+        f = 4.0 * math.pi * i0 * h * 2.5 * ui**1.5 / sqrt_r[1:-1]
+        g = (4.0 * math.pi / h) * (2.0 * ui - u[:-2] - u[2:]) - f
+        kinetic, potential = _dyson_quantities(u, h, w, sqrt_r)
+        energy = 0.5 * kinetic - i0 * potential
+        assert abs(g @ ui / 2.0 + f @ ui / 10.0 - energy) <= 1e-13 * abs(energy)
 
     def test_warm_start_at_the_minimizer_takes_no_step(self):
         # its projected gradient is rounding noise, which no step reduces by
@@ -409,6 +464,25 @@ class TestDysonSolver:
         init = RadialGridFunction(r, np.exp(-r / 2.0))
         st = dyson_variational_solve(grid_n=1500, init=init)
         assert st.energy == pytest.approx(solved_state.energy, rel=1e-4)
+
+
+# each was accepted once and returned NaN, or NaN rows, without raising
+NON_FINITE_PROBES = {
+    "spec-amplitude-nan": lambda st: PairExcitationSpec((0.3,), math.nan),
+    "spec-amplitude-inf": lambda st: PairExcitationSpec((0.3,), math.inf),
+    "p-integral-density-nan": lambda st: semiclassical_p_integral(math.nan, 1.0),
+    "p-integral-density-inf": lambda st: semiclassical_p_integral(math.inf, 1.0),
+    "p-integral-N-nan": lambda st: semiclassical_p_integral(1.0, math.nan),
+    "p-integral-N-inf": lambda st: semiclassical_p_integral(1.0, math.inf),
+    "pipeline-N-nan": lambda st: dyson_pipeline((math.nan,), state=st),
+    "pipeline-N-inf": lambda st: dyson_pipeline((math.inf,), state=st),
+}
+
+
+@pytest.mark.parametrize("probe", NON_FINITE_PROBES)
+def test_non_finite_input_rejected(probe, solved_state):
+    with pytest.raises(ValueError, match="and finite"):
+        NON_FINITE_PROBES[probe](solved_state)
 
 
 class TestDysonPipeline:
