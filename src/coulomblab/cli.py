@@ -87,7 +87,6 @@ def _run_dyson_solve(args: argparse.Namespace) -> dict:
         "E": state.energy,
         "virial_residual": state.virial_residual,
         "iterations": state.iterations,
-        "converged": state.converged,
         "relative_gradient": state.relative_gradient,
         "grid_n": state.grid_n,
         "r_max": state.r_max,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from coulomblab import bogoliubov
 from coulomblab.bogoliubov import (
     PairExcitationSpec,
     bogoliubov_dispersion_min,
@@ -15,7 +16,6 @@ from coulomblab.bogoliubov import (
     working_i0,
 )
 from coulomblab.errors import ConvergenceError, TruncationError
-from coulomblab.numerics import RadialGridFunction
 from bogoliubov_oracle import per_mode_fock_report, per_scale_p_integral
 from dyson_oracle import reference_dyson_solve
 
@@ -287,8 +287,10 @@ class TestI0:
         assert compute_I0()[0] == 0.5744473532158539
 
     def test_p_integral_matches_gamma_form(self):
+        # from a ~ 4.5e101 on, 64 pi^3 a^3 no longer fits a float, so only
+        # s^5 may depend on a
         i0 = 4.0**0.75 * math.gamma(0.75) / (5.0 * math.pi**0.25 * math.gamma(1.25))
-        for a in (1e-2, 0.3, 1.0, 7.0, 1e2, 1e4):
+        for a in (1e-2, 0.3, 1.0, 7.0, 1e2, 1e4, 1e102, 1e103, 1e200, 1e240):
             assert semiclassical_p_integral(a, 1.0) == pytest.approx(
                 -i0 * a**1.25, rel=1e-14
             )
@@ -364,7 +366,6 @@ class TestDysonSolver:
 
     def test_reaches_tolerance_at_default_grid(self):
         st = dyson_variational_solve(grid_n=2000)
-        assert st.converged
         r = st.phi.nodes
         u = r * st.phi.values
         u[0] = 0.0
@@ -386,17 +387,20 @@ class TestDysonSolver:
         assert solved_state.iterations <= 20 and fine.iterations <= 20
         assert abs(fine.iterations - solved_state.iterations) <= 2
 
-    def test_far_init_reaches_same_minimum(self, solved_state):
-        # too narrow a start: the plain Newton step points uphill here
-        r = np.linspace(0.0, 40.0, 801)
-        init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
-        st = dyson_variational_solve(grid_n=1500, init=init)
-        assert st.relative_gradient < 1e-7
-        assert st.energy == pytest.approx(solved_state.energy, rel=1e-9)
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(bogoliubov, "DYSON_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="no convergence in 1 Newton steps"):
+            dyson_variational_solve(grid_n=1500)
 
-    def test_unconverged_solve_raises(self):
-        with pytest.raises(ConvergenceError):
-            dyson_variational_solve(grid_n=1500, max_iter=1)
+    def test_step_that_raises_the_energy_raises(self):
+        # DYSON_TOL lies below the rounding floor of so fine a grid, so a
+        # Newton step fails to lower the energy and the solve stops at once:
+        # the fifth under one BLAS thread, the sixth under two, whose dot
+        # products round differently at this size
+        with pytest.raises(ConvergenceError,
+                           match=r"Newton step \d+ raises the energy") as err:
+            dyson_variational_solve(grid_n=400_000)
+        assert int(err.value.args[0].split()[2]) <= 6
 
     @pytest.mark.parametrize("grid_n", [1, 0])
     def test_grid_without_interior_node_rejected(self, grid_n):
@@ -409,16 +413,6 @@ class TestDysonSolver:
         # normalization recomputed at every evaluation
         _assert_same_state(dyson_variational_solve(grid_n=grid_n),
                            reference_dyson_solve(grid_n=grid_n))
-
-    def test_equals_the_reference_route_with_shifted_steps(self):
-        # the start of test_far_init_reaches_same_minimum, which rejects
-        # Newton steps and takes backward-Euler ones
-        r = np.linspace(0.0, 40.0, 801)
-        init = RadialGridFunction(r, np.exp(-(r**2) / 2.0))
-        _assert_same_state(
-            dyson_variational_solve(grid_n=1500, init=init),
-            reference_dyson_solve(grid_n=1500, init=init),
-        )
 
     @pytest.mark.parametrize("start", ["gaussian", "converged"])
     def test_energy_from_gradient_inner_products(self, start, solved_state):
@@ -444,26 +438,11 @@ class TestDysonSolver:
         energy = 0.5 * kinetic - i0 * potential
         assert abs(g @ ui / 2.0 + f @ ui / 10.0 - energy) <= 1e-13 * abs(energy)
 
-    def test_warm_start_at_the_minimizer_takes_no_step(self):
-        # its projected gradient is rounding noise, which no step reduces by
-        # tol relative to itself
-        st = dyson_variational_solve(grid_n=2000)
-        warm = dyson_variational_solve(grid_n=2000, init=st.phi)
-        assert warm.iterations == 0
-        assert warm.energy == st.energy
-        assert warm.converged
-
     def test_one_interior_node_takes_no_step(self):
         # the normalized profile is fixed, so the start is the minimizer
         st = dyson_variational_solve(grid_n=2)
         assert st.iterations == 0
-        assert st.converged and st.energy < 0.0
-
-    def test_custom_init_same_minimum(self, solved_state):
-        r = np.linspace(0.0, 40.0, 801)
-        init = RadialGridFunction(r, np.exp(-r / 2.0))
-        st = dyson_variational_solve(grid_n=1500, init=init)
-        assert st.energy == pytest.approx(solved_state.energy, rel=1e-4)
+        assert st.energy < 0.0
 
 
 # each was accepted once and returned NaN, or NaN rows, without raising

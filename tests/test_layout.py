@@ -1,5 +1,6 @@
 """Package layout rules that no functional test would notice breaking."""
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -108,6 +109,14 @@ def test_scipy_only_in_the_dyson_solve():
                  if name.split(".")[0] == "scipy"
                  and (file, owner) != ("bogoliubov.py", "dyson_variational_solve")]
     assert not offenders, offenders
+
+
+def test_dyson_solve_takes_grid_n_only():
+    # `--grid-n` is the only setting of dyson-solve, and of the library solve
+    from coulomblab import bogoliubov
+
+    params = inspect.signature(bogoliubov.dyson_variational_solve).parameters
+    assert list(params) == ["grid_n"]
 
 
 def test_no_module_imports_scipy_interpolate():
